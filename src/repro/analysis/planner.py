@@ -200,18 +200,23 @@ def analyze_plan(client: HistoryExpression, plan: Plan,
     """
     compliance: list[ComplianceCheck] = []
     unserved: list[str] = []
-    seen_requests: set[str] = set()
+    # Keyed on the occurrence, not the id: a service may reuse an id that
+    # the client (or another service) opens with a different body, and
+    # the plan's one binding for that id must serve every such session.
+    seen: set[tuple[str, HistoryExpression]] = set()
     decide = cache.check if cache is not None else check_compliance
 
     queue = list(extract_requests(client))
     while queue:
         info = queue.pop(0)
-        if info.request in seen_requests:
+        occurrence = (info.request, info.body)
+        if occurrence in seen:
             continue
-        seen_requests.add(info.request)
+        seen.add(occurrence)
         target = plan.lookup(info.request)
         if target is None or target not in repository:
-            unserved.append(info.request)
+            if info.request not in unserved:
+                unserved.append(info.request)
             continue
         service = repository[target]
         check = ComplianceCheck(info.request, target,

@@ -15,8 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from repro.contracts.contract import (register_cache_clearer,
+                                      register_cache_stat_names)
 from repro.core.syntax import HistoryExpression, Request, requests_of
-from repro.observability.cache_stats import track_cache
+from repro.observability.cache_stats import adapter, track_cache
 
 
 @dataclass(frozen=True)
@@ -68,6 +70,8 @@ def extract_requests(term: HistoryExpression) -> tuple[RequestInfo, ...]:
 
 
 track_cache("analysis.extract_requests", extract_requests)
+register_cache_clearer(adapter("analysis.extract_requests").clear)
+register_cache_stat_names("analysis.extract_requests")
 
 
 def request_tree(term: HistoryExpression) -> RequestTree:

@@ -763,6 +763,16 @@ def main(argv: list[str] | None = None) -> int:
         # stays machine-consumable (e.g. `lint --format json`).
         print(f"error: {error}", file=sys.stderr)
         return 2
+    except RecursionError:
+        # The tree walks recurse once per nesting level, so a term nested
+        # deeper than the interpreter allows is an input the tool cannot
+        # take, not a rejected one.
+        source = getattr(args, "network", None) or " ".join(
+            getattr(args, "networks", None) or ["input"])
+        print(f"error: {source}: term nested too deeply (over the Python "
+              f"recursion limit of {sys.getrecursionlimit()})",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

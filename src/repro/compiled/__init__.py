@@ -2,9 +2,9 @@
 
 The interpreted deciders (:mod:`repro.core.compliance`,
 :mod:`repro.contracts.product`, :mod:`repro.staticcheck`) walk
-dict-of-terms transition systems, hashing whole history expressions on
-every set operation.  This package lowers a contract's finite LTS *once*
-into dense integer-indexed structures —
+dict-of-terms transition systems, with a dict or set operation on
+(pairs of) history expressions at every step.  This package lowers a
+contract's finite LTS *once* into dense integer-indexed structures —
 
 * an intern table mapping states and action labels to small ints
   (:mod:`~repro.compiled.intern`);

@@ -52,11 +52,12 @@ from functools import lru_cache
 from repro.core.actions import co, is_input, is_output
 from repro.core.ready_sets import unmatched_pairs
 from repro.core.syntax import HistoryExpression
-from repro.contracts.contract import Contract
+from repro.contracts.contract import (Contract, register_cache_clearer,
+                                      register_cache_stat_names)
 from repro.contracts.product import (PairState, ProductAutomaton,
                                      build_product, search_product)
 from repro.observability import runtime as _telemetry
-from repro.observability.cache_stats import track_cache
+from repro.observability.cache_stats import adapter, track_cache
 
 
 @dataclass(frozen=True)
@@ -224,6 +225,8 @@ def _cached_contract(term: HistoryExpression) -> Contract:
 
 
 track_cache("compliance.contract_intern", _cached_contract)
+register_cache_clearer(adapter("compliance.contract_intern").clear)
+register_cache_stat_names("compliance.contract_intern")
 
 
 def _as_contract(value: HistoryExpression | Contract) -> Contract:

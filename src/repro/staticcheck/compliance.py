@@ -138,8 +138,9 @@ def _certify(client_term: HistoryExpression, server_term: HistoryExpression,
             if first_refusing is None:
                 first_refusing = pair
             continue
-        moves = sorted(set(synchronisations(client_lts, server_lts, pair)),
-                       key=repr)
+        moves = set(synchronisations(client_lts, server_lts, pair))
+        if len(moves) > 1:
+            moves = sorted(moves, key=repr)
         successors[pair] = tuple(moves)
         for successor in moves:
             if successor not in seen:

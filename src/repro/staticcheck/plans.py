@@ -191,7 +191,8 @@ def _explain(client: HistoryExpression, items: tuple, candidate_key,
         return repository.locations()
 
     # Per-binding compliance verdicts (with stuck witnesses), decided
-    # once per (request, candidate) pair.
+    # once per (request, candidate) pair: a candidate complies only if it
+    # complies with every session body opened under the request id.
     compliant_of: dict[tuple[str, str], bool] = {}
     refusals_of: dict[str, tuple[BindingRefusal, ...]] = {}
     accepting_of: dict[str, tuple[str, ...]] = {}
@@ -205,12 +206,17 @@ def _explain(client: HistoryExpression, items: tuple, candidate_key,
             if service is None:
                 continue
             any_candidate = True
-            certificate = certify_compliance(bodies[request], service)
-            compliant_of[(request, loc)] = certificate.compliant
-            if certificate.compliant:
+            refusal = None
+            for body in bodies[request]:
+                certificate = certify_compliance(body, service)
+                if not certificate.compliant:
+                    refusal = BindingRefusal(loc, certificate.witness)
+                    break
+            compliant_of[(request, loc)] = refusal is None
+            if refusal is None:
                 accepting.append(loc)
             else:
-                refused.append(BindingRefusal(loc, certificate.witness))
+                refused.append(refusal)
         refusals_of[request] = tuple(refused)
         accepting_of[request] = tuple(accepting)
         if not any_candidate:
@@ -311,17 +317,19 @@ def _binding_complies(plan, request: str, compliant_of) -> bool:
 
 
 def _reachable_requests(client: HistoryExpression, repository: Repository,
-                        candidates) -> dict[str, HistoryExpression]:
-    """Request id → session body, transitively through every candidate
-    service a plan could select (first occurrence wins, as in
+                        candidates) -> dict[str, list[HistoryExpression]]:
+    """Request id → every distinct session body opened under it,
+    transitively through every candidate service a plan could select
+    (occurrences counted as in
     :func:`~repro.analysis.planner.analyze_plan`)."""
-    bodies: dict[str, HistoryExpression] = {}
+    bodies: dict[str, list[HistoryExpression]] = {}
     queue = list(extract_requests(client))
     while queue:
         info = queue.pop(0)
-        if info.request in bodies:
+        known = bodies.setdefault(info.request, [])
+        if info.body in known:
             continue
-        bodies[info.request] = info.body
+        known.append(info.body)
         if candidates is not None and info.request in candidates:
             options = tuple(candidates[info.request])
         else:

@@ -1,0 +1,59 @@
+"""A client that reuses the id of the broker's nested request.
+
+The plan has one binding per request id, so binding 9 to the broker must
+also serve the broker's own ``open 9`` session, which only a hotel can.
+Every occurrence of a request id is checked against the binding, and the
+explanation blames the request, not security.
+"""
+
+import json
+import pathlib
+
+import pytest
+
+from repro.analysis.planner import analyze_plan, find_valid_plans
+from repro.cli import load_module, main
+from repro.core.plans import Plan
+
+FIXTURE = str(pathlib.Path(__file__).resolve().parent / "fixtures"
+              / "request_id_reuse.sus")
+
+
+@pytest.fixture(scope="module")
+def module():
+    return load_module(FIXTURE)
+
+
+class TestPlanner:
+    def test_no_plan_is_valid(self, module):
+        result = find_valid_plans(module.clients["lc1"], module.repository)
+        assert not result.has_valid_plan
+
+    def test_the_nested_session_is_checked_against_the_binding(self,
+                                                               module):
+        plan = Plan.empty().bind("9", "lbr")
+        analysis = analyze_plan(module.clients["lc1"], plan,
+                                module.repository)
+        verdicts = [(check.request, check.location, check.compliant)
+                    for check in analysis.compliance]
+        assert verdicts == [("9", "lbr", True), ("9", "lbr", False)]
+        assert not analysis.valid
+
+
+class TestCli:
+    def test_verify_rejects(self, capsys):
+        assert main(["verify", FIXTURE]) == 1
+        assert "NO valid plan" in capsys.readouterr().out
+
+    def test_analyze_rejects_and_blames_the_request(self, capsys):
+        assert main(["analyze", "--format", "json", FIXTURE]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["ok"] is False
+        (plans,) = report["plans"]
+        assert plans["valid"] is False and plans["plan"] is None
+        core = plans["explanation"]["core"]
+        assert [(c["kind"], c["request"]) for c in core] == [
+            ("compliance", "9")]
+        assert core[0]["compliant"] == []
+        assert [r["location"] for r in core[0]["refusals"]] == [
+            "lbr", "ls1", "ls2"]

@@ -95,6 +95,28 @@ class TestClearContractCaches:
             assert stats["misses"] == 0, name
             assert stats["currsize"] == 0, name
 
+    def test_clear_drops_the_term_keyed_memos(self):
+        # The contract intern and the request extraction are memoised on
+        # terms; left warm, they would hide work from a cold run.
+        from repro.analysis.requests import extract_requests
+        from repro.core.compliance import check_compliance
+        from repro.core.syntax import request
+        client = send("ping", receive("pong"))
+        server = receive("ping", send("pong"))
+        names = ("compliance.contract_intern", "analysis.extract_requests")
+        check_compliance(client, server)
+        extract_requests(request("r", None, client))
+        assert all(contract_cache_stats()[name]["currsize"] > 0
+                   for name in names)
+        clear_contract_caches()
+        stats = contract_cache_stats()
+        for name in names:
+            assert stats[name] == {"hits": 0, "misses": 0, "currsize": 0,
+                                   "maxsize": 4096}, name
+        extract_requests(request("r", None, client))
+        assert contract_cache_stats()["analysis.extract_requests"][
+            "misses"] == 1
+
     def test_fresh_run_counts_from_zero_after_clear(self):
         term = send("x", receive("y"))
         Contract(term).lts
