@@ -70,10 +70,16 @@ def assemble(client: HistoryExpression, plan: Plan,
     states caused by unhandleable internal choices; the commitment steps
     append no history labels, so the security check is unaffected either
     way.
+
+    One memo serves the whole exploration, so each state shares the
+    moves of the sub-trees it has in common with the states explored
+    before it.
     """
 
+    memo: dict = {}
+
     def successors(tree: SessionTree):
-        for move in tree_moves(tree, plan, repository, commit_outputs):
+        for move in tree_moves(tree, plan, repository, commit_outputs, memo):
             if not move.is_internal():
                 continue
             yield ProductLabel(move.kind, move.label, move.appends), move.tree

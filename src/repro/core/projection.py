@@ -15,48 +15,60 @@ guarded by inputs, guarded tail recursion only — hence finite state.
 
 from __future__ import annotations
 
-from repro.core.syntax import (ClosePending, Epsilon, EventNode,
+from repro.core.syntax import (EPSILON, ClosePending, Epsilon, EventNode,
                                ExternalChoice, FrameClosePending, Framing,
                                HistoryExpression, InternalChoice, Mu, Request,
                                Seq, Var, free_variables, seq)
 
 
-def project(term: HistoryExpression) -> HistoryExpression:
+def project(term: HistoryExpression,
+            _memo: dict | None = None) -> HistoryExpression:
     """The projection ``term!`` on communication actions.
 
     Closed terms project to closed terms.  Recursions whose body becomes
     trivial (no reachable communication guard) are simplified to ``ε`` so
     that the projected contract stays well formed.
+
+    A node's projection depends on the node alone, so one call projects
+    each distinct (shared) sub-term once: the work follows the term's
+    DAG, not its tree.  The memo is checked here, not in a helper, so
+    the recursion costs one frame per nesting level.
     """
-    if isinstance(term, (Epsilon, EventNode, ClosePending, Request, Framing,
-                         FrameClosePending)):
-        return _project_erased(term)
-    if isinstance(term, Var):
-        return term
-    if isinstance(term, Seq):
-        return seq(project(term.first), project(term.second))
-    if isinstance(term, ExternalChoice):
-        return ExternalChoice(tuple((label, project(cont))
-                                    for label, cont in term.branches))
-    if isinstance(term, InternalChoice):
-        return InternalChoice(tuple((label, project(cont))
-                                    for label, cont in term.branches))
-    if isinstance(term, Mu):
-        body = project(term.body)
-        if term.var not in free_variables(body):
-            return body
-        if _is_trivial_loop(body, term.var):
-            return Epsilon()
-        return Mu(term.var, body)
-    raise TypeError(f"unknown history expression node {term!r}")
-
-
-def _project_erased(term: HistoryExpression) -> HistoryExpression:
-    """Projection of nodes that erase to ``ε`` or to their body."""
+    if _memo is None:
+        _memo = {}
+    else:
+        known = _memo.get(term)
+        if known is not None:
+            return known
     if isinstance(term, Framing):
-        return project(term.body)
-    # ε, events, whole requests and run-time residuals all erase.
-    return Epsilon()
+        result = project(term.body, _memo)
+    elif isinstance(term, (Epsilon, EventNode, ClosePending, Request,
+                           FrameClosePending)):
+        # ε, events, whole requests and run-time residuals all erase.
+        result = EPSILON
+    elif isinstance(term, Var):
+        result = term
+    elif isinstance(term, Seq):
+        result = seq(project(term.first, _memo),
+                     project(term.second, _memo))
+    elif isinstance(term, ExternalChoice):
+        result = ExternalChoice(tuple((label, project(cont, _memo))
+                                      for label, cont in term.branches))
+    elif isinstance(term, InternalChoice):
+        result = InternalChoice(tuple((label, project(cont, _memo))
+                                      for label, cont in term.branches))
+    elif isinstance(term, Mu):
+        body = project(term.body, _memo)
+        if term.var not in free_variables(body):
+            result = body
+        elif _is_trivial_loop(body, term.var):
+            result = EPSILON
+        else:
+            result = Mu(term.var, body)
+    else:
+        raise TypeError(f"unknown history expression node {term!r}")
+    _memo[term] = result
+    return result
 
 
 def _is_trivial_loop(body: HistoryExpression, var: str) -> bool:

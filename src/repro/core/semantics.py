@@ -16,7 +16,9 @@ plus the two run-time residuals: ``close_{r,φ} --close_{r,φ}--> ε`` and
 
 The single entry point is :func:`step`; everything else in the library
 (finite LTS construction, projections, products, the network semantics) is
-derived from it.
+derived from it.  A term's transitions depend on the term alone, and terms
+are hash-consed, so :func:`step` computes them once per node and stores
+them on it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Iterator
 from repro.core.actions import (FrameClose, FrameOpen, Label, SessionClose,
                                 SessionOpen)
 from repro.core.errors import OpenTermError, WellFormednessError
-from repro.core.syntax import (ClosePending, Epsilon, EventNode,
+from repro.core.syntax import (EPSILON, ClosePending, Epsilon, EventNode,
                                ExternalChoice, FrameClosePending, Framing,
                                HistoryExpression, InternalChoice, Mu, Request,
                                Seq, Var, seq, unfold)
@@ -36,62 +38,67 @@ from repro.core.syntax import (ClosePending, Epsilon, EventNode,
 #: like ``μh.μk.h`` would otherwise loop forever.
 _MAX_UNFOLDINGS = 64
 
+#: The transitions of one term, in rule order.
+Moves = tuple[tuple[Label, HistoryExpression], ...]
 
-def step(term: HistoryExpression,
-         _depth: int = 0) -> Iterator[tuple[Label, HistoryExpression]]:
-    """Yield every transition ``(λ, H')`` with ``term --λ--> H'``.
+
+def step(term: HistoryExpression, _depth: int = 0) -> Moves:
+    """Every transition ``(λ, H')`` with ``term --λ--> H'``.
+
+    The tuple is computed on the first call and stored on the node, so
+    every later call returns the very same tuple.  A failure is never
+    stored: each call on an open or unguarded term raises again.
 
     Raises :class:`OpenTermError` on free variables and
     :class:`WellFormednessError` on unguarded recursion.
     """
+    moves = term._moves
+    if moves is None:
+        moves = _transitions(term, _depth)
+        # Two threads may both get here; they store equal tuples.
+        object.__setattr__(term, "_moves", moves)
+    return moves
+
+
+def _transitions(term: HistoryExpression, depth: int) -> Moves:
+    """The rules of the module docstring, applied to *term*'s head.
+    *depth* counts the μ-unfoldings made so far for this step; a
+    sub-term whose moves are already stored costs no further ones."""
     if isinstance(term, Epsilon):
-        return
+        return ()
     if isinstance(term, Var):
         raise OpenTermError(term.name)
     if isinstance(term, EventNode):
-        yield term.event, Epsilon()
-        return
-    if isinstance(term, InternalChoice):
-        for label, continuation in term.branches:
-            yield label, continuation
-        return
-    if isinstance(term, ExternalChoice):
-        for label, continuation in term.branches:
-            yield label, continuation
-        return
+        return ((term.event, EPSILON),)
+    if isinstance(term, (InternalChoice, ExternalChoice)):
+        return term.branches
     if isinstance(term, Request):
-        yield (SessionOpen(term.request, term.policy),
-               seq(term.body, ClosePending(term.request, term.policy)))
-        return
+        return ((SessionOpen(term.request, term.policy),
+                 seq(term.body, ClosePending(term.request, term.policy))),)
     if isinstance(term, ClosePending):
-        yield SessionClose(term.request, term.policy), Epsilon()
-        return
+        return ((SessionClose(term.request, term.policy), EPSILON),)
     if isinstance(term, Framing):
-        yield (FrameOpen(term.policy),
-               seq(term.body, FrameClosePending(term.policy)))
-        return
+        return ((FrameOpen(term.policy),
+                 seq(term.body, FrameClosePending(term.policy))),)
     if isinstance(term, FrameClosePending):
-        yield FrameClose(term.policy), Epsilon()
-        return
+        return ((FrameClose(term.policy), EPSILON),)
     if isinstance(term, Seq):
-        for label, rest in step(term.first, _depth):
-            yield label, seq(rest, term.second)
-        return
+        second = term.second
+        return tuple((label, seq(rest, second))
+                     for label, rest in step(term.first, depth))
     if isinstance(term, Mu):
-        if _depth >= _MAX_UNFOLDINGS:
+        if depth >= _MAX_UNFOLDINGS:
             raise WellFormednessError(
                 f"recursion μ{term.var} is not guarded: stepping it needs "
                 f"more than {_MAX_UNFOLDINGS} unfoldings")
-        yield from step(unfold(term), _depth + 1)
-        return
+        return step(unfold(term), depth + 1)
     raise TypeError(f"unknown history expression node {term!r}")
 
 
-def successors(term: HistoryExpression) -> tuple[
-        tuple[Label, HistoryExpression], ...]:
-    """The transitions of *term* as a tuple (memo-friendly form of
+def successors(term: HistoryExpression) -> Moves:
+    """The transitions of *term* as a tuple (the stored tuple of
     :func:`step`)."""
-    return tuple(step(term))
+    return step(term)
 
 
 def is_terminated(term: HistoryExpression) -> bool:
@@ -101,9 +108,7 @@ def is_terminated(term: HistoryExpression) -> bool:
 
 def can_step(term: HistoryExpression) -> bool:
     """True iff *term* has at least one transition."""
-    for _ in step(term):
-        return True
-    return False
+    return bool(step(term))
 
 
 def enabled_labels(term: HistoryExpression) -> frozenset[Label]:

@@ -14,7 +14,8 @@ node class, so equal terms are one shared object.  Each node stores, at
 construction and in O(1) from its children, its hash, its free recursion
 variables and (for :class:`Seq`) whether it is already in the normal form
 that :func:`seq` produces.  Hashing, ``free_variables`` and re-sequencing a
-normal tail therefore never re-walk a term.
+normal tail therefore never re-walk a term.  A fourth fact, the node's
+transitions, is filled lazily by :func:`repro.core.semantics.step`.
 
 Two *run-time* leaves complement the surface grammar:
 
@@ -100,6 +101,7 @@ class _Interned(type):
         if node is None:
             node = super().__call__(*fields)
             _set(node, "_hash", hash(fields))
+            _set(node, "_moves", None)
             node._store_facts()
             entry = _Entry(node, cls._evict)
             entry.key = key
@@ -111,11 +113,12 @@ class HistoryExpression(metaclass=_Interned):
     """Abstract base class of all history-expression nodes.
 
     Concrete nodes are frozen dataclasses built through the interning
-    metaclass; the base class holds the stored facts (``_hash``, ``_free``)
+    metaclass; the base class holds the stored facts (``_hash``, ``_free``,
+    and ``_moves``, which stays ``None`` until the node is first stepped)
     and the shared conveniences (equality, pretty ``str``, iteration).
     """
 
-    __slots__ = ("_hash", "_free", "__weakref__")
+    __slots__ = ("_hash", "_free", "_moves", "__weakref__")
 
     @staticmethod
     def _key(*fields: object) -> tuple:

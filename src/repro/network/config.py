@@ -14,12 +14,13 @@ A :class:`Component` pairs a session tree with the execution history
 ``η`` it has produced; a :class:`Configuration` is the parallel
 composition ``∥_i η_i, S_i`` of components.  All values are immutable and
 hashable, so configurations serve directly as states for exhaustive
-exploration.
+exploration.  Session trees store their hash at construction, as terms
+do, so keying a set or dict on a tree never re-walks it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Union
 
 from repro.core.semantics import is_terminated
@@ -33,6 +34,14 @@ class Leaf:
 
     location: str
     term: HistoryExpression
+    #: ``hash((location, term))``, the hash the dataclass would compute.
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.location, self.term)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return f"{self.location}:{self.term}"
@@ -44,6 +53,14 @@ class SessionNode:
 
     left: "SessionTree"
     right: "SessionTree"
+    #: ``hash((left, right))``, the hash the dataclass would compute.
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.left, self.right)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return f"[{self.left}, {self.right}]"

@@ -69,7 +69,8 @@ class TreeMove:
 
 def tree_moves(tree: SessionTree, plan: Plan,
                repository: Repository,
-               commit_outputs: bool = False) -> Iterator[TreeMove]:
+               commit_outputs: bool = False,
+               _memo: dict | None = None) -> tuple[TreeMove, ...]:
     """All moves of *tree* under *plan*, **including** unmatched
     communication offers of the root (callers normally want
     :func:`component_moves`, which drops them).
@@ -81,16 +82,33 @@ def tree_moves(tree: SessionTree, plan: Plan,
     various outputs is done regardless of the environment" — the paper's
     own interleaving rule Synch is angelic about it — and is what makes
     exhaustive exploration a sound oracle for compliance.
+
+    A sub-tree's moves depend only on the sub-tree, *plan*, *repository*
+    and *commit_outputs*, so they are computed once per *_memo*: a caller
+    exploring many trees under those three (an assembled LTS changes one
+    sub-tree per move) passes one dict to every call.  Never share it
+    across plans; without one, each call starts a fresh memo.
     """
+    if _memo is None:
+        _memo = {}
+    else:
+        known = _memo.get(tree)
+        if known is not None:
+            return known
     if isinstance(tree, Leaf):
-        yield from _leaf_moves(tree, plan, repository, commit_outputs)
-        return
+        moves = tuple(_leaf_moves(tree, plan, repository, commit_outputs))
+    else:
+        moves = tuple(_session_moves(
+            tree,
+            tree_moves(tree.left, plan, repository, commit_outputs, _memo),
+            tree_moves(tree.right, plan, repository, commit_outputs, _memo)))
+    _memo[tree] = moves
+    return moves
 
-    left_moves = tuple(tree_moves(tree.left, plan, repository,
-                                  commit_outputs))
-    right_moves = tuple(tree_moves(tree.right, plan, repository,
-                                   commit_outputs))
 
+def _session_moves(tree: SessionNode, left_moves, right_moves
+                   ) -> Iterator[TreeMove]:
+    """The moves of *tree*, given the moves of its two elements."""
     # Rule Session: lift the self-contained moves of either element.
     for move in left_moves:
         if move.is_internal():

@@ -281,7 +281,8 @@ THREADS = 8
 
 def _build(salt: int):
     """A batch of terms, fresh for each *salt*: parsed, sequenced,
-    substituted and stepped through an LTS."""
+    substituted and stepped through an LTS, then the moves each state
+    has stored."""
     source = " ; ".join(
         f"open r{salt}x{i} {{ !req{salt} . (?ok{i} . @pay({i}) + ?no) }}"
         for i in range(6))
@@ -291,7 +292,8 @@ def _build(salt: int):
     states = sorted(build_lts(parsed, step).states, key=repr)
     chain = seq(*(receive(f"x{salt}_{i}") for i in range(40)))
     return [parsed, loop, substitute(loop.body, "h", loop), chain,
-            *states]
+            *states, step(loop), step(chain),
+            *(step(state) for state in states)]
 
 
 class TestThreads:

@@ -1,12 +1,22 @@
 """Tests for the projection on communication actions (Section 4)."""
 
-from repro.core.projection import project
-from repro.core.syntax import (EPSILON, ExternalChoice, Framing,
-                               InternalChoice, Mu, Var, event, external,
-                               internal, is_closed, mu, receive, request,
-                               send, seq)
+import gc
+import weakref
+
+from hypothesis import given, settings
+
+import repro.core.projection as projection
+from benchmarks.workloads import wide_client
+from repro.core.projection import _is_trivial_loop, project
+from repro.core.syntax import (EPSILON, ClosePending, Epsilon, EventNode,
+                               ExternalChoice, FrameClosePending, Framing,
+                               InternalChoice, Mu, Request, Seq, Var, event,
+                               external, free_variables, internal, is_closed,
+                               mu, receive, request, send, seq)
 from repro.paper import figure2
 from repro.policies.library import forbid
+
+from tests.strategies import contracts, history_expressions
 
 PHI = forbid("boom")
 
@@ -102,3 +112,81 @@ class TestPaperContracts:
         # ?Req ; (!CoBo . ?Pay ++ !NoAv): the inner session r3 is erased.
         assert pretty(project(figure2.broker())) == \
             "?Req ; (!CoBo . ?Pay ++ !NoAv)"
+
+
+# -- the projection follows the term's DAG -----------------------------------
+
+def oracle_project(term):
+    """The projection as first written: one call per node of the tree."""
+    if isinstance(term, Framing):
+        return oracle_project(term.body)
+    if isinstance(term, (Epsilon, EventNode, ClosePending, Request,
+                         FrameClosePending)):
+        return EPSILON
+    if isinstance(term, Var):
+        return term
+    if isinstance(term, Seq):
+        return seq(oracle_project(term.first), oracle_project(term.second))
+    if isinstance(term, (ExternalChoice, InternalChoice)):
+        return type(term)(tuple((label, oracle_project(cont))
+                                for label, cont in term.branches))
+    body = oracle_project(term.body)
+    if term.var not in free_variables(body):
+        return body
+    if _is_trivial_loop(body, term.var):
+        return EPSILON
+    return Mu(term.var, body)
+
+
+def _dag_edges(term):
+    """Child references of the distinct nodes of *term*."""
+    seen, stack, edges = set(), [term], 0
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        edges += len(node.children())
+        stack.extend(node.children())
+    return edges
+
+
+def _tree_size(term):
+    return sum(1 for _ in term.walk())
+
+
+class TestProjectionFollowsTheDag:
+    def test_calls_are_bounded_by_the_dag_not_the_tree(self, monkeypatch):
+        term = seq(event("log"), Framing(PHI, wide_client(3, 3)))
+        original = projection.project
+        calls = []
+
+        def counting(*args):
+            calls.append(args[0])
+            return original(*args)
+
+        monkeypatch.setattr(projection, "project", counting)
+        result = projection.project(term)
+        monkeypatch.undo()
+        assert result is oracle_project(term)
+        assert len(calls) <= _dag_edges(term) + 1
+        assert _dag_edges(term) + 1 < _tree_size(term) // 10
+
+    def test_no_memo_outlives_its_call(self):
+        term = seq(event("gone"), send("gone_a"),
+                   Framing(PHI, receive("gone_b")))
+        assert project(term) is seq(send("gone_a"), receive("gone_b"))
+        probe = weakref.ref(term)
+        del term
+        gc.collect()
+        assert probe() is None
+
+    @settings(max_examples=150, deadline=None)
+    @given(term=history_expressions())
+    def test_matches_the_recursive_oracle(self, term):
+        assert project(term) is oracle_project(term)
+
+    @settings(max_examples=100, deadline=None)
+    @given(term=contracts())
+    def test_matches_the_recursive_oracle_on_contracts(self, term):
+        assert project(term) is oracle_project(term)

@@ -1,7 +1,8 @@
 """Tests for configurations, session trees and the Φ function."""
 
 from repro.core.actions import FrameClose
-from repro.core.syntax import (EPSILON, FrameClosePending, event, seq, send)
+from repro.core.syntax import (EPSILON, FrameClosePending, event, receive,
+                               seq, send)
 from repro.core.validity import History
 from repro.network.config import (Component, Configuration, Leaf,
                                   SessionNode, is_successfully_terminated,
@@ -32,6 +33,34 @@ class TestTrees:
         assert not is_successfully_terminated(Leaf("x", send("a")))
         assert not is_successfully_terminated(
             SessionNode(Leaf("x", EPSILON), Leaf("y", EPSILON)))
+
+
+class TestStoredHash:
+    """Session trees store their hash at construction: the one the
+    dataclass computed, so set and dict orders stay the same."""
+
+    def test_leaf_hash_is_the_hash_of_its_fields(self):
+        leaf = Leaf("loc", seq(send("a"), receive("b")))
+        assert leaf._hash == hash(leaf) == hash(("loc", leaf.term))
+
+    def test_session_hash_is_the_hash_of_its_elements(self):
+        inner = SessionNode(Leaf("br", send("a")), Leaf("s3", receive("a")))
+        tree = SessionNode(Leaf("c", EPSILON), inner)
+        assert hash(inner) == hash((inner.left, inner.right))
+        assert tree._hash == hash(tree) == hash((tree.left, tree.right))
+
+    def test_repr_and_equality_are_unchanged(self):
+        leaf = Leaf("loc", send("a"))
+        assert repr(leaf) == f"Leaf(location='loc', term={leaf.term!r})"
+        tree = SessionNode(leaf, Leaf("srv", EPSILON))
+        assert repr(tree) == (f"SessionNode(left={leaf!r}, "
+                              f"right={Leaf('srv', EPSILON)!r})")
+        assert tree == SessionNode(Leaf("loc", send("a")),
+                                   Leaf("srv", EPSILON))
+        assert tree != SessionNode(leaf, Leaf("other", EPSILON))
+        assert Leaf("x", EPSILON) != Leaf("y", EPSILON)
+        assert Leaf.__match_args__ == ("location", "term")
+        assert SessionNode.__match_args__ == ("left", "right")
 
 
 class TestPhi:

@@ -126,3 +126,40 @@ class TestClearContractCaches:
         stats = contract_cache_stats()
         assert stats["contracts.lts"]["misses"] >= 1
         assert stats["contracts.lts"]["hits"] >= 1
+
+
+class TestColdReset:
+    def test_no_term_outlives_a_run_once_the_caches_are_cleared(
+            self, capsys):
+        # Terms store their transitions once stepped, so a memo that kept
+        # an op's terms alive would also keep its transitions warm for
+        # the next "cold" op.  After clearing, the intern tables must hold
+        # no more nodes than before the run.
+        import gc
+        import pathlib
+
+        from typing import get_args
+
+        from repro.cli import main
+        from repro.core.syntax import Node
+
+        module = str(pathlib.Path(__file__).resolve().parents[2]
+                     / "examples" / "hotel_booking.sus")
+
+        def run() -> None:
+            assert main(["analyze", module]) == 0
+            assert main(["chaos", "--trials", "2", "--seed", "7",
+                         module]) == 0
+            capsys.readouterr()
+            clear_contract_caches()
+            gc.collect()
+
+        def sizes() -> dict:
+            return {cls.__name__: len(cls._table) for cls in get_args(Node)}
+
+        run()  # imports and module-level terms are not the run's
+        before = sizes()
+        run()
+        after = sizes()
+        assert all(after[name] <= before[name] for name in before), (
+            before, after)
