@@ -6,13 +6,14 @@ a benchmark file whose cases stopped carrying the instrumentation
 snapshot (counters, cache hit/miss stats, explored-state counts) fails
 the build, so the observability layer cannot silently rot.
 
-Accepts every historical schema (``repro-bench.v1`` through ``v5``);
-on v3+ files it additionally requires the per-engine warm timings,
-compile-time split and verdict-agreement flags on S1 cases, and the
-certifier cases (with the compiled term-table cache in their snapshot)
-on S3.  On v4+ files carrying an S4 suite, every registry case must
+Accepts every historical schema (``repro-bench.v1`` through ``v6``);
+on v3+ files it additionally requires the per-decider warm timings,
+compile-time split and verdict-agreement flags on S1 cases.  On v3–v5
+files it requires the S3 certifier cases (with the compiled term-table
+cache in their snapshot); v6 dropped them with the compiled validity
+certifier.  On v4+ files carrying an S4 suite, every registry case must
 report its pruning ratio, lookup speedup and verdict-identity flag,
-with ``registry.*`` counters in the instrumentation snapshot.  On v5
+with ``registry.*`` counters in the instrumentation snapshot.  On v5+
 files carrying an R2 suite, every case must report both recovery modes
 (rollback and replan) with their recovered ratios, and the
 instrumentation snapshot must record the ``resilience.rollbacks``
@@ -55,21 +56,21 @@ B1_REQUIRED_COUNTERS = ("staticcheck.explored_states",)
 B1_REQUIRED_CACHES = ("staticcheck.validity",)
 
 ACCEPTED_SCHEMAS = ("repro-bench.v1", "repro-bench.v2", "repro-bench.v3",
-                    "repro-bench.v4", "repro-bench.v5")
+                    "repro-bench.v4", "repro-bench.v5", "repro-bench.v6")
 
-#: Engines whose warm solve time every v3 S1 case must report.
+#: Deciders whose warm solve time every v3+ S1 case must report.
 V3_S1_ENGINES = ("onthefly", "eager", "gfp", "compiled")
 
 #: Keys every v3 S1 case must carry beside the timings.
 V3_S1_CASE_KEYS = ("compile_seconds", "compiled_speedup",
                    "verdicts_agree")
 
-#: Keys every v3 S3 certifier case must carry.
+#: Keys every v3–v5 S3 certifier case must carry.
 V3_S3_CERTIFIER_KEYS = ("interpreted_seconds", "compiled_seconds",
                         "compile_seconds", "compiled_speedup",
                         "certificates_identical", "explored_states")
 
-#: Cache adapter that must appear in v3 S3 certifier snapshots: the
+#: Cache adapter that must appear in v3–v5 S3 certifier snapshots: the
 #: compiled term-table memo proves the compiled path actually ran.
 V3_S3_CERTIFIER_CACHE = "compiled.validity_terms"
 
@@ -153,9 +154,11 @@ def check_file(path: Path) -> list[str]:
         # v1 predates the instrumentation snapshots: schema recognised,
         # nothing further to require.
         return errors
-    v3 = schema in ("repro-bench.v3", "repro-bench.v4", "repro-bench.v5")
-    v4 = schema in ("repro-bench.v4", "repro-bench.v5")
-    v5 = schema == "repro-bench.v5"
+    v3 = schema in ("repro-bench.v3", "repro-bench.v4", "repro-bench.v5",
+                    "repro-bench.v6")
+    v4 = schema in ("repro-bench.v4", "repro-bench.v5", "repro-bench.v6")
+    v5 = schema in ("repro-bench.v5", "repro-bench.v6")
+    s3_certifiers = v3 and schema != "repro-bench.v6"
     suites = report.get("suites", {})
     for case_index, case in enumerate(suites.get("s1", {}).get("cases",
                                                                ())):
@@ -192,7 +195,7 @@ def check_file(path: Path) -> list[str]:
         counters = metrics.get("counters", {})
         if not any(key.startswith("monitor.labels") for key in counters):
             errors.append(f"{where}: monitor.labels counters missing")
-    if v3 and "s3" in suites:
+    if s3_certifiers and "s3" in suites:
         certifier_cases = suites["s3"].get("certifier_cases")
         if not isinstance(certifier_cases, list) or not certifier_cases:
             errors.append(f"{path}: s3.certifier_cases missing (v3)")

@@ -81,8 +81,6 @@ INDICATORS = (
     ("s3", "monitor_median_speedup", "higher",
      lambda s: _case_ratio_median(s, "declarative_seconds",
                                   "monitor_seconds")),
-    ("s3", "certifier_median_compiled_speedup", "higher",
-     lambda s: _suite_key(s, "certifier_median_compiled_speedup")),
     ("s4", "median_pruning_ratio", "higher",
      lambda s: _suite_key(s, "median_pruning_ratio")),
     ("s4", "median_lookup_speedup", "higher",

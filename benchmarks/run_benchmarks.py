@@ -7,20 +7,18 @@ Unlike the pytest-benchmark suites (``test_s*.py``), which measure one
 code path per test, this runner measures *pairs* of paths in the same
 process and records their ratio:
 
-* **S1** — product-automaton emptiness: every compliance engine
-  (``onthefly``, ``eager``, ``gfp``, ``compiled`` — plus the compiled
-  gfp relation) timed *warm* on the same cases, with the compiled
-  engine's table-lowering time reported separately and verdict
-  agreement asserted across all engines, on compliant pairs and on
-  non-compliant pairs with deep and shallow counterexamples;
+* **S1** — product-automaton emptiness: every compliance decider
+  (``onthefly`` = ``search_product``, ``eager`` = ``build_product``,
+  ``gfp`` = the ``certify_compliance`` fixpoint, ``compiled`` =
+  ``compiled_search`` over interned tables) called directly and timed
+  *warm* on the same cases, with the table-lowering time of the
+  compiled search reported separately and verdict agreement asserted
+  across all deciders, on compliant pairs and on non-compliant pairs
+  with deep and shallow counterexamples;
 * **S2** — plan synthesis: ``find_valid_plans`` with memoisation and
-  pruning off vs on (and, optionally, the parallel path), asserting the
-  valid/invalid partitions agree;
+  pruning off vs on, asserting the valid/invalid partitions agree;
 * **S3** — validity: the declarative checker vs the incremental
-  ``ValidityMonitor`` plus monitor snapshots (``copy``), and the
-  *certifier* scaling family: the interpreted ⟨residual, monitor⟩
-  product BFS vs the compiled interned one on ``policy_grid_client``,
-  certificates asserted identical;
+  ``ValidityMonitor`` plus monitor snapshots (``copy``);
 * **S4** — registry discovery: a signature-indexed
   :class:`ContractRegistry` populated with a seeded contract family,
   answering ``find_compliant``/``find_substitutable`` query batches via
@@ -34,7 +32,8 @@ process and records their ratio:
   (recovered-session ratio, median steps/ticks to recover — all on the
   simulated clock), plus a seeded chaos comparison with rollback on vs
   off, compliance verdicts asserted identical across the four ordinary
-  engines and both reversible deciders;
+  deciders, and ordinary compliance asserted to imply reversible
+  compliance;
 * **B1** — static certification: one ``certify_validity`` pass over the
   ⟨residual, monitor⟩ product vs K seeded monitor-checked random runs,
   asserting the verdicts agree and rejection witnesses replay.
@@ -116,7 +115,7 @@ def _measure_warm(fn, repeats: int) -> float:
     """Best-of-*repeats* wall time of ``fn()`` with caches left *warm*:
     one untimed call builds whatever LTS/tables/memos the path needs, so
     the repeats time the solve alone.  Result memos are bypassed by the
-    callers (``__wrapped__`` / engine internals), never by this helper —
+    callers (``__wrapped__`` / solver internals), never by this helper —
     a warm interpreted run still re-steps and re-hashes per state, which
     is exactly the cost the compiled tables amortise."""
     fn()
@@ -138,15 +137,29 @@ def _median(values: list[float]) -> float:
 
 # -- S1: product emptiness ---------------------------------------------------
 
-S1_ENGINES = ("onthefly", "eager", "gfp", "compiled")
+def _s1_deciders(client_c, server_c, compiled_client, compiled_server):
+    """Each S1 decider as a zero-argument call on one prepared pair.
+    The eager call includes the emptiness check; the gfp certifier is
+    unwrapped of its result memo so repeats time the solve."""
+    from repro.compiled.search import compiled_search
+    from repro.contracts.product import (DEFAULT_STATE_LIMIT,
+                                         build_product, search_product)
+    from repro.staticcheck import compliance as static_compliance
+
+    return {
+        "onthefly": lambda: search_product(client_c, server_c),
+        "eager": lambda: build_product(client_c,
+                                       server_c).language_is_empty(),
+        "gfp": lambda: static_compliance._certify.__wrapped__(
+            client_c.term, server_c.term, DEFAULT_STATE_LIMIT),
+        "compiled": lambda: compiled_search(
+            compiled_client, compiled_server, DEFAULT_STATE_LIMIT),
+    }
 
 
 def run_s1(quick: bool, repeats: int) -> dict:
-    from repro.compiled.search import compiled_relation, compiled_search
     from repro.compiled.tables import compile_contract
-    from repro.contracts.product import (DEFAULT_STATE_LIMIT,
-                                         search_product)
-    from repro.staticcheck import compliance as static_compliance
+    from repro.contracts.product import build_product
 
     sizes = [(2, 2), (3, 3)] if quick else [(2, 2), (2, 4), (3, 3),
                                             (4, 2), (4, 3), (4, 4),
@@ -168,7 +181,7 @@ def run_s1(quick: bool, repeats: int) -> dict:
         for kind, server in kinds:
             # Lower both contracts cold: the wall time of projecting,
             # building the LTSs and interning the tables is the price
-            # the compiled engine pays exactly once per contract.
+            # the compiled search pays exactly once per contract.
             _clear_caches()
             client_c, server_c = Contract(client), Contract(server)
             start = time.perf_counter()
@@ -176,41 +189,23 @@ def run_s1(quick: bool, repeats: int) -> dict:
             compiled_server = compile_contract(server_c)
             compile_seconds = time.perf_counter() - start
 
-            cproj, sproj = client_c.term, server_c.term
-            engine_seconds = {
-                "onthefly": _measure_warm(
-                    lambda: search_product(client_c, server_c), repeats),
-                "eager": _measure_warm(
-                    lambda: check_compliance(client_c, server_c,
-                                             engine="eager"), repeats),
-                "gfp": _measure_warm(
-                    lambda: static_compliance._certify.__wrapped__(
-                        cproj, sproj, DEFAULT_STATE_LIMIT), repeats),
-                "compiled": _measure_warm(
-                    lambda: compiled_search(compiled_client,
-                                            compiled_server,
-                                            DEFAULT_STATE_LIMIT),
-                    repeats),
-                "gfp_compiled": _measure_warm(
-                    lambda: compiled_relation(compiled_client,
-                                              compiled_server,
-                                              DEFAULT_STATE_LIMIT),
-                    repeats),
-            }
+            deciders = _s1_deciders(client_c, server_c, compiled_client,
+                                    compiled_server)
+            engine_seconds = {name: _measure_warm(decide, repeats)
+                              for name, decide in deciders.items()}
 
-            # Verdict agreement through the public decider, all engines.
-            results = {engine: check_compliance(client, server,
-                                                engine=engine)
-                       for engine in S1_ENGINES}
-            verdicts = {engine: result.compliant
-                        for engine, result in results.items()}
+            # Verdict agreement across the deciders, called directly.
+            search = deciders["onthefly"]()
+            compiled = deciders["compiled"]()
+            verdicts = {"onthefly": search.empty,
+                        "eager": deciders["eager"](),
+                        "gfp": deciders["gfp"]().compliant,
+                        "compiled": compiled.empty}
             assert len(set(verdicts.values())) == 1, \
                 (width, depth, kind, verdicts)
-            result = results["onthefly"]
-            assert result.explored_states == \
-                results["compiled"].explored_states, (width, depth, kind)
-            assert result.trace == results["compiled"].trace, \
+            assert search.explored == compiled.explored, \
                 (width, depth, kind)
+            assert search.trace == compiled.trace, (width, depth, kind)
 
             metrics = _instrumented(
                 lambda: check_compliance(client, server))
@@ -219,13 +214,14 @@ def run_s1(quick: bool, repeats: int) -> dict:
             speedup = onthefly / max(compiled_solve, 1e-9)
             cases.append({
                 "width": width, "depth": depth, "kind": kind,
-                "compliant": result.compliant,
+                "compliant": search.empty,
                 "engine_seconds": engine_seconds,
                 "compile_seconds": compile_seconds,
                 "table_bytes": (compiled_client.table_bytes()
                                 + compiled_server.table_bytes()),
-                "eager_states": results["eager"].explored_states,
-                "onthefly_states": result.explored_states,
+                "eager_states": len(build_product(client_c,
+                                                  server_c).lts),
+                "onthefly_states": search.explored,
                 "verdicts_agree": True,
                 "eager_over_onthefly": (engine_seconds["eager"]
                                         / max(onthefly, 1e-9)),
@@ -234,7 +230,7 @@ def run_s1(quick: bool, repeats: int) -> dict:
             })
             print(f"S1 w={width} d={depth} {kind:21s}: "
                   f"onthefly {onthefly * 1e3:8.2f} ms "
-                  f"({result.explored_states:5d} st)  "
+                  f"({search.explored:5d} st)  "
                   f"eager {engine_seconds['eager'] * 1e3:8.2f} ms  "
                   f"gfp {engine_seconds['gfp'] * 1e3:8.2f} ms  "
                   f"compiled {compiled_solve * 1e3:8.3f} ms "
@@ -278,8 +274,6 @@ def run_s2(quick: bool, repeats: int) -> dict:
             repeats)
         memoized = _measure(
             lambda: find_valid_plans(client, repo), repeats)
-        parallel = _measure(
-            lambda: find_valid_plans(client, repo, parallel=4), repeats)
         _clear_caches()
         baseline = find_valid_plans(client, repo, memoize=False,
                                     prune=False)
@@ -295,14 +289,12 @@ def run_s2(quick: bool, repeats: int) -> dict:
             "valid_plans": len(baseline.valid_plans),
             "eager_seconds": eager,
             "memoized_seconds": memoized,
-            "parallel_seconds": parallel,
             "speedup": eager / max(memoized, 1e-9),
             "metrics": metrics,
         })
         print(f"S2 k={requests} s={services}: "
               f"unmemoized {eager * 1e3:8.2f} ms  "
               f"memoized {memoized * 1e3:8.2f} ms  "
-              f"parallel(4) {parallel * 1e3:8.2f} ms  "
               f"{eager / max(memoized, 1e-9):5.1f}x")
     return {
         "cases": cases,
@@ -362,77 +354,10 @@ def run_s3(quick: bool, repeats: int) -> dict:
               f"copy {copy_seconds * 1e6:7.1f} us  "
               f"{declarative / max(incremental, 1e-9):5.1f}x")
 
-    certifier_cases = _run_s3_certifiers(quick, repeats)
     return {
         "cases": cases,
         "monitor_faster": all(c["speedup"] > 1.0 for c in cases),
-        "certifier_cases": certifier_cases,
-        "certifier_median_compiled_speedup": _median(
-            [c["compiled_speedup"] for c in certifier_cases]),
-        "certifier_largest_case_speedup": certifier_cases[-1][
-            "compiled_speedup"],
-        "certificates_identical": True,
     }
-
-
-def _run_s3_certifiers(quick: bool, repeats: int) -> list[dict]:
-    """Interpreted vs compiled static validity certification on the
-    ``policy_grid_client`` family.
-
-    Both engines are timed warm through their solve paths (``_certify``
-    unwrapped of its result memo; the compiled BFS with the term table
-    prebuilt), the table-lowering time is reported separately, and the
-    certificates — verdict, explored count, witness — are asserted
-    identical."""
-    from repro.compiled.validity import (_compile_term,
-                                         compiled_certify_validity)
-    from repro.staticcheck import validity as static_validity
-    from repro.staticcheck.validity import (
-        DEFAULT_STATE_LIMIT, certify_validity)
-
-    from workloads import policy_grid_client
-
-    grid = [(3, 3, 3)] if quick else [(3, 3, 3), (3, 3, 4), (2, 4, 4),
-                                      (3, 4, 4)]
-    certifier_cases = []
-    for policies, width, depth in grid:
-        term = policy_grid_client(policies, width, depth)
-        _clear_caches()
-        start = time.perf_counter()
-        _compile_term(term)
-        compile_seconds = time.perf_counter() - start
-        interpreted = _measure_warm(
-            lambda: static_validity._certify.__wrapped__(
-                term, DEFAULT_STATE_LIMIT), repeats)
-        compiled_solve = _measure_warm(
-            lambda: compiled_certify_validity(term, DEFAULT_STATE_LIMIT),
-            repeats)
-        certificate = compiled_certify_validity(term, DEFAULT_STATE_LIMIT)
-        reference = static_validity._certify.__wrapped__(
-            term, DEFAULT_STATE_LIMIT)
-        assert (reference.valid, reference.explored, reference.witness) \
-            == (certificate.valid, certificate.explored,
-                certificate.witness), (policies, width, depth)
-        metrics = _instrumented(
-            lambda: certify_validity(term, engine="compiled"))
-        speedup = interpreted / max(compiled_solve, 1e-9)
-        certifier_cases.append({
-            "policies": policies, "width": width, "depth": depth,
-            "valid": certificate.valid,
-            "explored_states": certificate.explored,
-            "interpreted_seconds": interpreted,
-            "compiled_seconds": compiled_solve,
-            "compile_seconds": compile_seconds,
-            "compiled_speedup": speedup,
-            "certificates_identical": True,
-            "metrics": metrics,
-        })
-        print(f"S3 certify p={policies} w={width} d={depth}: "
-              f"interpreted {interpreted * 1e3:8.2f} ms  "
-              f"compiled {compiled_solve * 1e3:8.3f} ms "
-              f"(+{compile_seconds * 1e3:7.1f} ms compile)  "
-              f"({certificate.explored:5d} st)  {speedup:6.1f}x")
-    return certifier_cases
 
 
 # -- S4: registry discovery --------------------------------------------------
@@ -715,9 +640,8 @@ def run_r2(quick: bool, repeats: int) -> dict:
     are on the simulated clock — deterministic and machine-free; the
     wall-clock seconds per mode ride along as context.  Before any
     trial runs, the branchy pair's verdict is asserted identical across
-    the four ordinary compliance engines and across the interpreted and
-    compiled reversible deciders (compliance implies reversible
-    compliance, so all six must say yes).
+    the four ordinary compliance deciders, and the reversible decider
+    must say yes too (compliance implies reversible compliance).
     """
     from repro.core.plans import Plan, PlanVector
     from repro.core.reversible import check_reversible
@@ -727,17 +651,19 @@ def run_r2(quick: bool, repeats: int) -> dict:
     from workloads import (branchy_chain, branchy_client, branchy_session,
                            branchy_worker)
 
-    # -- verdict agreement: ordinary engines + reversible deciders ----------
+    # -- verdict agreement: ordinary deciders ⇒ reversible decider ---------
+    from repro.compiled.tables import compile_contract
+
     body, worker = branchy_session(), branchy_worker()
-    ordinary = {engine: check_compliance(body, worker, engine=engine)
-                for engine in S1_ENGINES}
-    verdicts = {engine: result.compliant
-                for engine, result in ordinary.items()}
+    body_c, worker_c = Contract(body), Contract(worker)
+    deciders = _s1_deciders(body_c, worker_c, compile_contract(body_c),
+                            compile_contract(worker_c))
+    verdicts = {"onthefly": deciders["onthefly"]().empty,
+                "eager": deciders["eager"](),
+                "gfp": deciders["gfp"]().compliant,
+                "compiled": deciders["compiled"]().empty}
     assert set(verdicts.values()) == {True}, verdicts
-    interpreted = check_reversible(body, worker, engine="interpreted")
-    compiled_rev = check_reversible(body, worker, engine="compiled")
-    assert interpreted == compiled_rev, "reversible deciders disagree"
-    assert interpreted.compliant, \
+    assert check_reversible(body, worker).compliant, \
         "compliance must imply reversible compliance"
 
     clients = {"lc": branchy_client()}
@@ -851,7 +777,6 @@ def run_r2(quick: bool, repeats: int) -> dict:
         "cases": cases,
         "chaos": chaos,
         "verdicts_agree": True,
-        "reversible_engines_agree": True,
         "rollback_recovered_ratio": rollback_ratio,
         "replan_recovered_ratio": replan_ratio,
         "rollback_beats_replan_recovery": rollback_ratio > replan_ratio,
@@ -991,7 +916,7 @@ def main(argv: list[str] | None = None) -> int:
         suites[name] = SUITES[name](args.quick, repeats)
 
     report = {
-        "schema": "repro-bench.v5",
+        "schema": "repro-bench.v6",
         "quick": args.quick,
         "repeats": repeats,
         "started_at": started,
@@ -1007,10 +932,6 @@ def main(argv: list[str] | None = None) -> int:
                 "s1", {}).get("compiled_largest_case_speedup"),
             "s2_memoized_faster_than_eager": suites.get(
                 "s2", {}).get("memoized_faster"),
-            "s3_certifier_median_compiled_speedup": suites.get(
-                "s3", {}).get("certifier_median_compiled_speedup"),
-            "s3_certifier_largest_case_speedup": suites.get(
-                "s3", {}).get("certifier_largest_case_speedup"),
             "s4_median_pruning_ratio": suites.get(
                 "s4", {}).get("median_pruning_ratio"),
             "s4_median_lookup_speedup": suites.get(
@@ -1025,8 +946,6 @@ def main(argv: list[str] | None = None) -> int:
                 "r2", {}).get("rollback_beats_replan_recovery"),
             "r2_median_steps_saving": suites.get(
                 "r2", {}).get("median_steps_saving"),
-            "r2_reversible_engines_agree": suites.get(
-                "r2", {}).get("reversible_engines_agree"),
             "verdicts_identical_across_engines": (
                 suites.get("s1", {}).get("verdicts_agree", None)
                 if "s1" in suites else None),

@@ -24,7 +24,6 @@ compares against.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Iterator
@@ -261,8 +260,7 @@ def find_valid_plans(client: HistoryExpression, repository: Repository,
                      candidates=None, location: str = "client",
                      max_plans: int | None = None, *,
                      memoize: bool = True,
-                     prune: bool | None = None,
-                     parallel: int | None = None) -> PlannerResult:
+                     prune: bool | None = None) -> PlannerResult:
     """Enumerate and analyse plans for *client*, separating the valid
     ones — the viable orchestrations of Section 5.
 
@@ -277,11 +275,6 @@ def find_valid_plans(client: HistoryExpression, repository: Repository,
     reaches the security model checker.  Neither knob changes the
     valid/invalid partition: pruned plans are still enumerated and
     reported invalid, carrying the failing check.
-
-    *parallel* > 1 analyses candidates with a thread pool of that many
-    workers (opt-in; worthwhile for large repositories where analyses
-    release the interpreter lock or the pool hides I/O-ish latency).
-    Results keep enumeration order regardless.
     """
     if prune is None:
         prune = memoize
@@ -319,15 +312,9 @@ def find_valid_plans(client: HistoryExpression, repository: Repository,
         return analysis
 
     def collect() -> PlannerResult:
-        if parallel is not None and parallel > 1:
-            with ThreadPoolExecutor(max_workers=parallel) as pool:
-                analyses = list(pool.map(analyse, plans))
-        else:
-            analyses = map(analyse, plans)
-
         result = PlannerResult()
         pruned = 0
-        for analysis in analyses:
+        for analysis in map(analyse, plans):
             if analysis.security.skipped:
                 pruned += 1
             if analysis.valid:

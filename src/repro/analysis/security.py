@@ -27,11 +27,8 @@ from repro.core.actions import Event, FrameClose, FrameOpen
 from repro.core.errors import StateSpaceLimitError
 from repro.policies.usage_automata import (FrozenRunnerState, Policy,
                                            PolicyRunner)
-from repro.contracts.lts import LTS
+from repro.contracts.lts import DEFAULT_PRODUCT_LIMIT, LTS
 from repro.analysis.session_product import ProductLabel
-
-#: Default bound on explored (tree, monitor) product states.
-DEFAULT_PRODUCT_LIMIT = 500_000
 
 #: Abstract monitor state: per-policy frozen runner + activation count.
 MonitorState = tuple[tuple[Policy, FrozenRunnerState, int], ...]

@@ -32,7 +32,7 @@ from repro.network.config import (Leaf, SessionTree,
                                   is_successfully_terminated)
 from repro.network.repository import Repository
 from repro.network.semantics import tree_moves
-from repro.contracts.lts import LTS, build_lts
+from repro.contracts.lts import DEFAULT_STATE_LIMIT, LTS, build_lts
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,7 +57,7 @@ SessionLTS = LTS[SessionTree, ProductLabel]
 
 def assemble(client: HistoryExpression, plan: Plan,
              repository: Repository, location: str = "client",
-             max_states: int = 200_000,
+             max_states: int = DEFAULT_STATE_LIMIT,
              commit_outputs: bool = True) -> SessionLTS:
     """The assembled LTS of *client* running at *location* under *plan*.
 

@@ -88,18 +88,17 @@ def verify_client(client: HistoryExpression, repository: Repository,
                   location: str = "client",
                   candidates=None,
                   max_plans: int | None = None,
-                  memoize: bool = True,
-                  parallel: int | None = None) -> ClientVerdict:
+                  memoize: bool = True) -> ClientVerdict:
     """Verify one client: well-formedness, then plan synthesis with the
     compliance and security checks.
 
-    *memoize* and *parallel* are forwarded to
+    *memoize* is forwarded to
     :func:`~repro.analysis.planner.find_valid_plans`.
     """
     check_well_formed(client)
     result = find_valid_plans(client, repository, candidates=candidates,
                               location=location, max_plans=max_plans,
-                              memoize=memoize, parallel=parallel)
+                              memoize=memoize)
     return ClientVerdict(location, result)
 
 
@@ -107,13 +106,12 @@ def verify_network(clients: dict[str, HistoryExpression],
                    repository: Repository,
                    candidates=None,
                    max_plans: int | None = None,
-                   memoize: bool = True,
-                   parallel: int | None = None) -> NetworkVerdict:
+                   memoize: bool = True) -> NetworkVerdict:
     """Verify a vector of clients (mapping location → behaviour) against
     a shared repository — the full procedure of Section 5."""
     verdicts = tuple(
         verify_client(term, repository, location=location,
                       candidates=candidates, max_plans=max_plans,
-                      memoize=memoize, parallel=parallel)
+                      memoize=memoize)
         for location, term in clients.items())
     return NetworkVerdict(verdicts)

@@ -27,12 +27,10 @@ from dataclasses import dataclass
 from repro.core.actions import Event, FrameClose, FrameOpen
 from repro.core.errors import StateSpaceLimitError
 from repro.core.syntax import HistoryExpression, policies_of
+from repro.contracts.lts import DEFAULT_PRODUCT_LIMIT
 from repro.policies.usage_automata import Policy, PolicyRunner
 from repro.bpa.regularize import regularize
 from repro.bpa.translate import to_bpa
-
-#: Default bound on product states.
-DEFAULT_PRODUCT_LIMIT = 500_000
 
 
 class FramedAutomaton:

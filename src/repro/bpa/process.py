@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from repro.core.errors import WellFormednessError
-from repro.contracts.lts import LTS, build_lts
+from repro.contracts.lts import DEFAULT_STATE_LIMIT, LTS, build_lts
 
 
 class BPAProcess:
@@ -139,7 +139,8 @@ class BPASystem:
             return
         raise TypeError(f"unknown BPA term {process!r}")
 
-    def lts(self, max_states: int = 200_000) -> LTS[BPAProcess, object]:
+    def lts(self, max_states: int = DEFAULT_STATE_LIMIT
+            ) -> LTS[BPAProcess, object]:
         """The reachable transition system of the root process."""
         return build_lts(self.root, self.step, max_states=max_states)
 

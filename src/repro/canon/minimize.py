@@ -18,10 +18,7 @@ masks and termination flags of a pair — cannot distinguish a state from
 its block representative: quotienting preserves compliance verdicts
 exactly.  The quotient duck-types the table protocol consumed by
 :func:`repro.compiled.search.compiled_search`, so the product-emptiness
-BFS runs on quotients unchanged (``compiled_relation`` is the one
-consumer that does not apply: its canonical move order re-derives state
-``repr``s through the compiled-table memo, which indexes source states,
-not blocks).
+BFS runs on quotients unchanged.
 
 Blocks are numbered in first-seen source-state order, so block 0 always
 contains source state 0 (the initial state) and the representative of a

@@ -41,8 +41,8 @@ Every refusal is packaged as a :class:`PreorderWitness` carrying a
 steps) and single sends (input-mode steps) replaying the path, with
 ``ε`` escape hatches off the path.  By construction the client complies
 with ``H1`` and reaches a Definition-5 stuck pair with ``H2`` —
-:meth:`PreorderWitness.replays` re-checks both facts through any of the
-four compliance engines.
+:meth:`PreorderWitness.replays` re-checks both facts with
+:func:`~repro.core.compliance.check_compliance`.
 
 The decision memo is tracked as ``canon.preorder`` and cleared through
 the ``clear_contract_caches`` cascade.
@@ -92,14 +92,13 @@ class PreorderWitness:
     refusing_state: HistoryExpression
     reason: str
 
-    def replays(self, *, engine: str = "onthefly") -> bool:
+    def replays(self) -> bool:
         """Does the witness replay concretely: ``client ⊢ smaller`` and
-        ``client ⊬ larger`` under *engine*?"""
+        ``client ⊬ larger``?"""
         from repro.core.compliance import check_compliance
-        return (check_compliance(self.client, self.smaller,
-                                 engine=engine).compliant
-                and not check_compliance(self.client, self.larger,
-                                         engine=engine).compliant)
+        return (check_compliance(self.client, self.smaller).compliant
+                and not check_compliance(self.client,
+                                         self.larger).compliant)
 
     def describe(self) -> str:
         """One-line human rendering of the refusal."""

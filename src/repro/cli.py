@@ -24,7 +24,8 @@ Commands::
     repro registry NETWORK.{toml,sus} [--query-compliant NAME]
                                           # signature-indexed discovery
     repro verify NETWORK.toml             # plan synthesis (Section 5)
-    repro compliance NETWORK.toml A B     # is A's first request ⊢ B?
+    repro compliance NETWORK.toml A B [--reversible]
+                                          # is A's first request ⊢ B?
     repro simulate NETWORK.toml [--seed N] [--unmonitored] [--trace]
     repro chaos NETWORK.toml [--seed N] [--trials N] [--faults KINDS]
     repro report NETWORK.toml [--seed N] [--format json] [--wall]
@@ -189,8 +190,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     for name, term in {**module.clients, **module.services}.items():
         check_well_formed(term)
         print(f"{name}: well formed")
-    diagnostics = lint_module(module, min_severity=Severity.ERROR,
-                              engine=args.engine)
+    diagnostics = lint_module(module, min_severity=Severity.ERROR)
     for diagnostic in diagnostics:
         print(diagnostic.format(module.path or str(args.network)),
               file=sys.stderr)
@@ -251,12 +251,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
     from repro.staticcheck import analyze_module
     module = load_module(args.network)
-    # The certifiers distinguish interpreted/compiled only; the other
-    # compliance engine names all mean the interpreted front-end here.
-    certifier_engine = ("compiled" if args.engine == "compiled"
-                        else "interpreted")
-    analysis = analyze_module(module, max_plans=args.max_plans,
-                              engine=certifier_engine)
+    analysis = analyze_module(module, max_plans=args.max_plans)
     if args.format == "json":
         print(_json.dumps(analysis.to_json(), indent=2, sort_keys=True))
     else:
@@ -388,7 +383,11 @@ def _cmd_compliance(args: argparse.Namespace) -> int:
     server = network.term(args.server)
     requests = extract_requests(client)
     body = requests[0].body if requests else client
-    result = check_compliance(body, server, engine=args.engine)
+    if args.reversible:
+        from repro.core.reversible import check_reversible
+        result = check_reversible(body, server)
+    else:
+        result = check_compliance(body, server)
     if result.compliant:
         print(f"{args.client} ⊢ {args.server}: compliant")
         return 0
@@ -559,17 +558,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "table after the command")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    engine_choices = ("onthefly", "eager", "gfp", "compiled", "reversible")
-    engine_help = ("compliance engine backing the verdicts (default: "
-                   "%(default)s; 'compiled' runs the interned "
-                   "integer-table core; 'reversible' decides the weaker "
-                   "checkpoint/rollback relation)")
-
     check = sub.add_parser("check", help="parse and validate a network "
                                          "(error-severity lint included)")
     check.add_argument("network")
-    check.add_argument("--engine", choices=engine_choices,
-                       default="onthefly", help=engine_help)
     check.set_defaults(func=_cmd_check)
 
     lint = sub.add_parser(
@@ -600,8 +591,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "deterministic JSON (repro-analyze.v1)")
     analyze.add_argument("--max-plans", type=int, default=None,
                          help="bound on the candidate plans per client")
-    analyze.add_argument("--engine", choices=engine_choices,
-                         default="onthefly", help=engine_help)
     analyze.set_defaults(func=_cmd_analyze)
 
     canon = sub.add_parser(
@@ -641,8 +630,10 @@ def build_parser() -> argparse.ArgumentParser:
     compliance.add_argument("network")
     compliance.add_argument("client")
     compliance.add_argument("server")
-    compliance.add_argument("--engine", choices=engine_choices,
-                            default="onthefly", help=engine_help)
+    compliance.add_argument("--reversible", action="store_true",
+                            help="decide the weaker checkpoint/rollback "
+                                 "relation: can rollback always avoid a "
+                                 "stuck pair?")
     compliance.set_defaults(func=_cmd_compliance)
 
     simulate = sub.add_parser("simulate",

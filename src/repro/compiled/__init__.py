@@ -1,10 +1,9 @@
-"""Compiled verification core: interned states, flat transition tables.
+"""Compiled contract tables: interned states, flat transition tables.
 
 The interpreted deciders (:mod:`repro.core.compliance`,
 :mod:`repro.contracts.product`, :mod:`repro.staticcheck`) walk
-dict-of-terms transition systems, with a dict or set operation on
-(pairs of) history expressions at every step.  This package lowers a
-contract's finite LTS *once* into dense integer-indexed structures —
+dict-of-terms transition systems.  This package lowers a contract's
+finite LTS *once* into dense integer-indexed structures —
 
 * an intern table mapping states and action labels to small ints
   (:mod:`~repro.compiled.intern`);
@@ -13,19 +12,15 @@ contract's finite LTS *once* into dense integer-indexed structures —
   operations on ints (:mod:`~repro.compiled.tables`);
 * a frontier BFS over the implicit product with bitset-encoded visited
   sets and predecessor arrays for shortest-witness reconstruction
-  (:mod:`~repro.compiled.search`);
-* a compiled ⟨residual, monitor⟩ validity product with interned monitor
-  states and memoised monitor advancement
-  (:mod:`~repro.compiled.validity`).
+  (:mod:`~repro.compiled.search`).
 
-All three deciders plug into the same core via ``engine="compiled"``:
-:func:`repro.core.compliance.check_compliance`,
-:func:`repro.contracts.product.search_product`, and the staticcheck
-certifiers (:func:`repro.staticcheck.certify_compliance`,
-:func:`repro.staticcheck.certify_validity`).  The compiled engines visit
-states in exactly the order their interpreted counterparts do, so
-verdicts, explored-state counts and reconstructed witnesses are
-byte-identical — the differential property suite asserts it.
+The tables are the data structure behind canonical forms
+(:mod:`repro.canon` quotients them by bisimilarity) and the contract
+registry (:mod:`repro.registry` runs :func:`compiled_search` over those
+quotients).  :func:`compiled_search` visits states in exactly the order
+:func:`repro.contracts.product.search_product` does, so verdicts,
+explored-state counts and witnesses are identical — the differential
+property suite asserts it.
 
 Compilation results are memoised per (projected) term and wired into the
 ``clear_contract_caches`` cascade; telemetry records ``compile.*``
@@ -39,9 +34,7 @@ from repro.compiled.intern import Bitset, Interner
 from repro.compiled.tables import (CompiledContract, compile_contract,
                                    compiled_cache_stats,
                                    clear_compiled_caches)
-from repro.compiled.search import (CompiledSearch, compiled_relation,
-                                   compiled_search)
-from repro.compiled.validity import compiled_certify_validity
+from repro.compiled.search import CompiledSearch, compiled_search
 
 __all__ = [
     "Bitset",
@@ -51,7 +44,5 @@ __all__ = [
     "clear_compiled_caches",
     "compile_contract",
     "compiled_cache_stats",
-    "compiled_certify_validity",
-    "compiled_relation",
     "compiled_search",
 ]

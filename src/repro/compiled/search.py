@@ -7,18 +7,13 @@ check of Definition 5 four int operations on precompiled channel
 bitmasks.  Witnesses come back as predecessor chains over encoded pairs,
 decoded into term pairs only once, at the very end.
 
-Two search modes mirror the two interpreted front-ends exactly:
-
-* :func:`compiled_search` — the on-the-fly emptiness BFS of
-  :func:`repro.contracts.product.search_product`: stuck states are
-  detected at *discovery*, the search stops at the first one, and
-  successors are enumerated in the interpreted engine's own order, so
-  the reconstructed shortest trace is byte-identical;
-* :func:`compiled_relation` — the full candidate-relation exploration
-  of :func:`repro.staticcheck.compliance.certify_compliance`: refusing
-  pairs are absorbing, detected when *popped*, move order is
-  canonicalised by term rendering, and the whole relation is explored
-  (the certificate's ``pairs`` count is its size).
+:func:`compiled_search` mirrors the on-the-fly emptiness BFS of
+:func:`repro.contracts.product.search_product` exactly: stuck states are
+detected at *discovery*, the search stops at the first one, and
+successors are enumerated in the interpreted search's own order, so the
+explored count and the reconstructed shortest trace are identical.  The
+registry runs it over canon quotients; the differential tests run it
+against :func:`~repro.contracts.product.search_product`.
 """
 
 from __future__ import annotations
@@ -32,7 +27,7 @@ from repro.core.errors import StateSpaceLimitError
 from repro.core.syntax import HistoryExpression
 from repro.observability import runtime as _telemetry
 
-#: A decoded product state (the interpreted engines' PairState).
+#: A decoded product state (the interpreted search's PairState).
 _Pair = tuple[HistoryExpression, HistoryExpression]
 
 
@@ -142,109 +137,3 @@ def _compiled_search(client: CompiledContract, server: CompiledContract,
                                 seen)
                     push(successor)
     return CompiledSearch(True, None, seen)
-
-
-@dataclass(frozen=True)
-class CompiledRelation:
-    """Outcome of :func:`compiled_relation`: the candidate relation of
-    Definition 4 with refusing pairs absorbing.
-
-    ``pairs`` is the relation's size; ``trace`` the BFS-shortest path to
-    the first refusing pair popped in canonical order (``None`` when the
-    relation is refusal-free, i.e. the contracts are compliant).
-    """
-
-    pairs: int
-    trace: tuple[_Pair, ...] | None
-
-    @property
-    def compliant(self) -> bool:
-        return self.trace is None
-
-
-def compiled_relation(client: CompiledContract, server: CompiledContract,
-                      max_states: int) -> CompiledRelation:
-    """Explore the full synchronisation-reachable pair relation.
-
-    Mirrors the interpreted gfp certifier: pairs are checked for refusal
-    when popped (FIFO order — the first refusing pair is the nearest
-    one), refusing pairs are absorbing, and the successors of a live
-    pair are deduplicated and visited in term-rendering order, so the
-    reconstructed witness trace is byte-identical to the interpreted
-    certifier's.  As with :func:`compiled_search`, one flight-recorder
-    event marks the completed exploration.
-    """
-    result = _compiled_relation(client, server, max_states)
-    tel = _telemetry.active()
-    if tel is not None:
-        tel.emit("search.compiled_relation", compliant=result.compliant,
-                 pairs=result.pairs)
-    return result
-
-
-def _compiled_relation(client: CompiledContract, server: CompiledContract,
-                       max_states: int) -> CompiledRelation:
-    ns = len(server.terms)
-    c_moves = client.moves
-    s_by_label = server.by_label
-    c_out = client.out_mask
-    c_in = client.in_mask
-    c_term = client.terminated
-    s_out = server.out_mask
-    s_in = server.in_mask
-    # Lazy repr tables: only materialised when a pair has >1 successor
-    # to order (the common case for compliant products is tiny fan-out).
-    from repro.compiled.tables import _sorted_repr_of
-    c_reprs = _sorted_repr_of(client.term)
-    s_reprs = _sorted_repr_of(server.term)
-
-    initial = 0
-    visited = make_visited(len(client.terms) * ns)
-    visited.add(initial)
-    seen = 1
-    pairs = 0
-    parents: dict[int, int] = {}
-    first_refusing = -1
-    frontier: deque[int] = deque((initial,))
-    while frontier:
-        code = frontier.popleft()
-        pairs += 1
-        i = code // ns
-        j = code - i * ns
-        # Refusal on pop (Definition 4's ready-set condition, compiled
-        # to the equivalent Definition 5 mask test).
-        if not c_term[i]:
-            out1 = c_out[i]
-            out2 = s_out[j]
-            if not (out1 | out2) or (out1 & ~s_in[j]) or (out2 & ~c_in[i]):
-                if first_refusing < 0:
-                    first_refusing = code
-                continue  # absorbing: no successors
-        successors: set[int] = set()
-        server_index = s_by_label[j]
-        for co_label, client_targets in c_moves[i]:
-            server_targets = server_index.get(co_label)
-            if server_targets is None:
-                continue
-            for ci in client_targets:
-                base = ci * ns
-                for sj in server_targets:
-                    successors.add(base + sj)
-        for successor in sorted(
-                successors,
-                key=lambda pair: f"({c_reprs[pair // ns]}, "
-                                 f"{s_reprs[pair % ns]})"):
-            if visited.test_and_set(successor):
-                continue
-            if seen >= max_states:
-                raise StateSpaceLimitError(max_states,
-                                           "ready-set product")
-            seen += 1
-            parents[successor] = code
-            frontier.append(successor)
-
-    if first_refusing < 0:
-        return CompiledRelation(pairs, None)
-    return CompiledRelation(
-        pairs, _decode_trace(first_refusing, parents, initial,
-                             client, server))

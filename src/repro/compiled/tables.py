@@ -19,12 +19,10 @@ label id and the product search never touches a label object.  The
 table also precomputes the co-action id per label (``co(ā) = a``), which
 is how synchronisation pairing becomes an int-keyed dict lookup.
 
-Move orders are preserved exactly as the interpreted engines enumerate
-them — ``labels_from``/``successors`` frozenset iteration order — so the
-compiled BFS discovers states in the same order and reconstructs
-byte-identical witnesses.  A second, repr-sorted successor view
-(:attr:`CompiledContract.sorted_repr`) serves the gfp certifier, which
-canonicalises move order by term rendering.
+Move orders are preserved exactly as the interpreted product search
+enumerates them — ``labels_from``/``successors`` frozenset iteration
+order — so the compiled BFS discovers states in the same order and
+reconstructs identical witnesses.
 
 Everything is memoised per term and registered with the
 ``clear_contract_caches`` cascade; compilation emits ``compile.*``
@@ -236,19 +234,10 @@ def _compile_tables(term: HistoryExpression) -> CompiledContract:
         terminated=tuple(terminated))
 
 
-@lru_cache(maxsize=COMPILED_CACHE_SIZE)
-def _sorted_repr_of(term: HistoryExpression) -> tuple[str, ...]:
-    """``repr`` of every interned state, indexed by state id — the
-    sort key material for the gfp certifier's canonical move order."""
-    return tuple(repr(state) for state in _compile(term).terms)
-
-
 track_cache("compiled.contract", _compile)
-track_cache("compiled.reprs", _sorted_repr_of)
 
-#: Cache-stats names owned by the compiled layer (the validity module
-#: appends its own at import time).
-_CACHE_NAMES: list[str] = ["compiled.contract", "compiled.reprs"]
+#: Cache-stats names owned by the compiled layer.
+_CACHE_NAMES = ("compiled.contract",)
 
 
 def compiled_cache_stats() -> dict[str, dict[str, int]]:
@@ -268,10 +257,7 @@ def label_table_stats() -> dict[str, int]:
 def clear_compiled_caches() -> None:
     """Drop the compiled tables *and* the label intern table (the tables
     store its ids), rebaselining the stats adapters."""
-    from repro.compiled import validity as _validity
     _compile.cache_clear()
-    _sorted_repr_of.cache_clear()
-    _validity._compile_term.cache_clear()
     LABELS.clear()
     reset_cache_stats(*_CACHE_NAMES)
 

@@ -17,9 +17,10 @@ safety — property.
 
 Two constructions are provided:
 
-* :func:`build_product` materialises the full explicit automaton — for
-  callers that need the state space itself (diagnostics, benchmarks,
-  subcontract checks);
+* :func:`build_product` materialises the full explicit automaton, as
+  the paper's construction literally reads — for callers that need the
+  state space itself, and as the oracle the differential tests check
+  :func:`search_product` against;
 * :func:`search_product` explores the *implicit* product on the fly and
   stops at the first reachable final state, reconstructing the shortest
   counterexample from its BFS parent map.  Because compliance is a safety
@@ -150,8 +151,7 @@ class ProductSearch:
 
 
 def search_product(client: Contract, server: Contract,
-                   max_states: int = DEFAULT_STATE_LIMIT,
-                   *, engine: str = "interpreted") -> ProductSearch:
+                   max_states: int = DEFAULT_STATE_LIMIT) -> ProductSearch:
     """Decide ``L(client ⊗ server) = ∅`` without building the automaton.
 
     BFS over the implicit product; every state is checked against the
@@ -159,24 +159,12 @@ def search_product(client: Contract, server: Contract,
     search short-circuits at the first reachable stuck pair — at minimal
     synchronisation depth, which keeps the returned counterexample
     shortest, exactly like :meth:`ProductAutomaton.counterexample`.
-
-    ``engine="compiled"`` runs the same BFS over the interned integer
-    tables of :mod:`repro.compiled` — identical verdict, trace and
-    explored count, typically an order of magnitude faster on large
-    products.
     """
-    if engine == "compiled":
-        run = _compiled_search
-    elif engine == "interpreted":
-        run = _search
-    else:
-        raise ValueError(f"unknown search engine {engine!r} "
-                         "(expected 'interpreted' or 'compiled')")
     tel = _telemetry.active()
     if tel is None:
-        return run(client, server, max_states)
-    with tel.tracer.span("compliance.search_product", engine=engine) as span:
-        result = run(client, server, max_states)
+        return _search(client, server, max_states)
+    with tel.tracer.span("compliance.search_product") as span:
+        result = _search(client, server, max_states)
         depth = None if result.trace is None else len(result.trace) - 1
         span.set(empty=result.empty, explored=result.explored,
                  counterexample_depth=depth)
@@ -190,26 +178,14 @@ def search_product(client: Contract, server: Contract,
             result.explored if result.empty else result.explored - 1)
         if depth is not None:
             metrics.histogram("compliance.early_exit_depth").observe(depth)
-        tel.emit("search.product", engine=engine, empty=result.empty,
+        tel.emit("search.product", empty=result.empty,
                  explored=result.explored)
         return result
 
 
-def _compiled_search(client: Contract, server: Contract,
-                     max_states: int) -> ProductSearch:
-    """The compiled twin of :func:`_search` (one shared compiled core
-    with :mod:`repro.staticcheck`); imported lazily — the compiled layer
-    builds on this module's siblings."""
-    from repro.compiled.search import compiled_search
-    from repro.compiled.tables import compile_contract
-    result = compiled_search(compile_contract(client),
-                             compile_contract(server), max_states)
-    return ProductSearch(result.empty, result.trace, result.explored)
-
-
 def _search(client: Contract, server: Contract,
             max_states: int) -> ProductSearch:
-    """The uninstrumented BFS :func:`search_product` dispatches to."""
+    """The uninstrumented BFS behind :func:`search_product`."""
     client_lts = client.lts
     server_lts = server.lts
     initial: PairState = (client.term, server.term)

@@ -22,25 +22,17 @@ Three independent deciders are provided:
   the product of Definition 5 (Theorem 1) **on the fly**: because
   compliance is a safety property (Theorem 2), the BFS short-circuits at
   the first reachable stuck pair, never materialising the full product;
-* ``check_compliance(..., engine="eager")`` goes through the explicit
-  product automaton, as the paper's construction literally reads;
-* ``check_compliance(..., engine="gfp")`` re-derives the relation as the
-  largest fixpoint on the ready-set product
-  (:func:`repro.staticcheck.compliance.certify_compliance`), producing a
-  stuck-configuration witness with the refusing ready sets on failure;
-* ``check_compliance(..., engine="compiled")`` runs the on-the-fly BFS
-  over the interned integer tables of :mod:`repro.compiled` — same
-  verdict, witness and explored count as ``"onthefly"``, typically an
-  order of magnitude faster on large products;
-* ``check_compliance(..., engine="reversible")`` decides the *reversible*
-  relation of :mod:`repro.core.reversible` — compliance up to
-  checkpoint/rollback of retractable choices: strictly weaker than the
-  relations above (``Hc ⊢ Hs`` implies reversible compliance), failing
-  only when no rollback strategy avoids a stuck pair; the witness is
-  then the end of a demonic play certified by an adversary strategy.
+* :func:`repro.staticcheck.compliance.certify_compliance` re-derives the
+  relation as the largest fixpoint on the ready-set product, producing a
+  stuck-configuration witness with the refusing ready sets on failure.
 
-The test suite checks that they all agree on randomly generated
-contracts — a machine check of Theorems 1 and 2.
+:func:`check_compliance` is the one production decider.  The others,
+together with the explicit automaton of
+:func:`repro.contracts.product.build_product` and the compiled search of
+:func:`repro.compiled.search.compiled_search`, are the oracles the test
+suite checks it against on randomly generated contracts — a machine
+check of Theorems 1 and 2.  The weaker checkpoint/rollback relation is
+decided separately, by :func:`repro.core.reversible.check_reversible`.
 """
 
 from __future__ import annotations
@@ -54,8 +46,7 @@ from repro.core.ready_sets import unmatched_pairs
 from repro.core.syntax import HistoryExpression
 from repro.contracts.contract import (Contract, register_cache_clearer,
                                       register_cache_stat_names)
-from repro.contracts.product import (PairState, ProductAutomaton,
-                                     build_product, search_product)
+from repro.contracts.product import PairState, search_product
 from repro.observability import runtime as _telemetry
 from repro.observability.cache_stats import adapter, track_cache
 
@@ -67,9 +58,9 @@ class ComplianceResult:
     ``compliant`` is the verdict; on failure ``witness`` is a reachable
     stuck pair ``⟨H1, H2⟩`` and ``trace`` the sequence of product states
     leading to it (both ``None`` on success).  ``explored_states`` counts
-    the distinct product states the deciding engine materialised — for the
-    on-the-fly engine on a non-compliant pair this stays within the BFS
-    radius of the shortest counterexample.
+    the distinct product states the search materialised — on a
+    non-compliant pair this stays within the BFS radius of the shortest
+    counterexample.
     """
 
     compliant: bool
@@ -82,101 +73,46 @@ class ComplianceResult:
 
 
 def check_compliance(client: HistoryExpression | Contract,
-                     server: HistoryExpression | Contract,
-                     *, engine: str = "onthefly") -> ComplianceResult:
+                     server: HistoryExpression | Contract
+                     ) -> ComplianceResult:
     """Decide ``client ⊢ server`` via product emptiness (Theorem 1),
     returning a shortest counterexample trace when the check fails.
 
-    *engine* selects the exploration strategy: ``"onthefly"`` (default)
-    runs the lazy BFS of :func:`~repro.contracts.product.search_product`
-    and stops at the first stuck pair; ``"eager"`` materialises the full
-    explicit automaton first; ``"gfp"`` re-derives the relation as a
-    greatest fixpoint; ``"compiled"`` runs the on-the-fly BFS over the
-    interned integer tables of :mod:`repro.compiled`.  All four return
-    the same verdict and a shortest trace; the test suite cross-validates
-    them.  ``"reversible"`` instead decides the strictly weaker
-    checkpoint/rollback relation (see :mod:`repro.core.reversible`).
+    Runs the lazy BFS of :func:`~repro.contracts.product.search_product`,
+    which stops at the first stuck pair.
     """
     tel = _telemetry.active()
     if tel is None:
-        return _check(client, server, engine)
-    with tel.tracer.span("compliance.check", engine=engine) as span:
-        result = _check(client, server, engine)
+        return _check(client, server)
+    with tel.tracer.span("compliance.check") as span:
+        result = _check(client, server)
         span.set(compliant=result.compliant,
                  explored_states=result.explored_states)
+        # A constant label: it keeps the counter key that existing
+        # reports (the report goldens included) use.
         tel.metrics.counter(
-            "compliance.checks", engine=engine,
+            "compliance.checks", engine="onthefly",
             verdict="compliant" if result.compliant
             else "noncompliant").inc()
-        tel.emit("compliance.verdict", engine=engine,
-                 compliant=result.compliant,
+        tel.emit("compliance.verdict", compliant=result.compliant,
                  explored=result.explored_states)
         return result
 
 
 def _check(client: HistoryExpression | Contract,
-           server: HistoryExpression | Contract,
-           engine: str) -> ComplianceResult:
-    client_c = _as_contract(client)
-    server_c = _as_contract(server)
-    if engine in ("onthefly", "compiled"):
-        search = search_product(
-            client_c, server_c,
-            engine="compiled" if engine == "compiled" else "interpreted")
-        if search.empty:
-            return ComplianceResult(True, explored_states=search.explored)
-        return ComplianceResult(False, witness=search.witness,
-                                trace=search.trace,
-                                explored_states=search.explored)
-    if engine == "eager":
-        product = build_product(client_c, server_c)
-        explored = len(product.lts)
-        if product.language_is_empty():
-            return ComplianceResult(True, explored_states=explored)
-        trace = product.counterexample()
-        assert trace is not None
-        return ComplianceResult(False, witness=trace[-1], trace=trace,
-                                explored_states=explored)
-    if engine == "gfp":
-        # Imported lazily: repro.staticcheck layers on top of this module.
-        from repro.staticcheck.compliance import certify_compliance
-        certificate = certify_compliance(client_c, server_c)
-        if certificate.compliant:
-            return ComplianceResult(True,
-                                    explored_states=certificate.pairs)
-        assert certificate.witness is not None
-        trace = certificate.witness.trace
-        return ComplianceResult(False, witness=trace[-1], trace=trace,
-                                explored_states=certificate.pairs)
-    if engine == "reversible":
-        # Imported lazily: the reversible layer builds on this module's
-        # siblings.  The demonic play doubles as the trace: its last pair
-        # is stuck beyond the reach of any rollback.
-        from repro.core.reversible import check_reversible
-        reversible = check_reversible(client_c, server_c)
-        if reversible.compliant:
-            return ComplianceResult(
-                True, explored_states=reversible.explored_states)
-        assert reversible.trace is not None
-        return ComplianceResult(False, witness=reversible.trace[-1],
-                                trace=reversible.trace,
-                                explored_states=reversible.explored_states)
-    raise ValueError(f"unknown compliance engine {engine!r} (expected "
-                     "'onthefly', 'eager', 'gfp', 'compiled' or "
-                     "'reversible')")
+           server: HistoryExpression | Contract) -> ComplianceResult:
+    search = search_product(_as_contract(client), _as_contract(server))
+    if search.empty:
+        return ComplianceResult(True, explored_states=search.explored)
+    return ComplianceResult(False, witness=search.witness,
+                            trace=search.trace,
+                            explored_states=search.explored)
 
 
 def compliant(client: HistoryExpression | Contract,
               server: HistoryExpression | Contract) -> bool:
     """Decide ``client ⊢ server`` via product-automaton emptiness."""
     return check_compliance(client, server).compliant
-
-
-def build_product_of(client: HistoryExpression | Contract,
-                     server: HistoryExpression | Contract
-                     ) -> ProductAutomaton:
-    """The product automaton ``client! ⊗ server!`` (Definition 5)."""
-    return build_product(_as_contract(client), _as_contract(server))
 
 
 def compliant_coinductive(client: HistoryExpression | Contract,

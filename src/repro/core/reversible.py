@@ -45,11 +45,7 @@ label, with strictly decreasing lfp rank — plus one demonic play.
 and verifies genuine successorship and rank decrease, so a reported
 "rollback cannot restore compliance" verdict carries its own proof.
 
-Both the interpreted decider and its compiled twin
-(:mod:`repro.compiled.reversible`) produce identical verdicts, ranks,
-strategies and plays; ``check_reversible(engine=...)`` selects between
-them and ``check_compliance(..., engine="reversible")`` exposes the
-relation beside ``onthefly``/``eager``/``gfp``/``compiled``.
+On the command line the relation is ``repro compliance --reversible``.
 """
 
 from __future__ import annotations
@@ -311,34 +307,25 @@ class ReversibleResult:
 
 def check_reversible(client: HistoryExpression | Contract,
                      server: HistoryExpression | Contract,
-                     *, engine: str = "interpreted",
-                     max_states: int = DEFAULT_STATE_LIMIT
+                     *, max_states: int = DEFAULT_STATE_LIMIT
                      ) -> ReversibleResult:
-    """Decide reversible compliance of ``client``/``server``.
-
-    ``engine="interpreted"`` runs the doom lfp over the term-level pair
-    graph; ``engine="compiled"`` runs the identical fixpoint over the
-    interned integer tables of :mod:`repro.compiled` — same verdict,
-    ranks, strategy and play (the differential suite asserts it).
-    """
+    """Decide reversible compliance of ``client``/``server``: the doom
+    lfp over the synchronisation pair graph (memoised on the projected
+    pair)."""
     client_term = _project(client)
     server_term = _project(server)
-    if engine not in ("interpreted", "compiled"):
-        raise ValueError(f"unknown reversible engine {engine!r} "
-                         "(expected 'interpreted' or 'compiled')")
     tel = _telemetry.active()
     if tel is None:
-        return _decide(client_term, server_term, engine, max_states)
-    with tel.tracer.span("compliance.reversible", engine=engine) as span:
-        result = _decide(client_term, server_term, engine, max_states)
+        return _decide(client_term, server_term, max_states)
+    with tel.tracer.span("compliance.reversible") as span:
+        result = _decide(client_term, server_term, max_states)
         span.set(compliant=result.compliant,
                  explored_states=result.explored_states)
         tel.metrics.counter(
-            "compliance.reversible_checks", engine=engine,
+            "compliance.reversible_checks",
             verdict="compliant" if result.compliant
             else "doomed").inc()
-        tel.emit("reversible.verdict", engine=engine,
-                 compliant=result.compliant,
+        tel.emit("reversible.verdict", compliant=result.compliant,
                  explored=result.explored_states)
         return result
 
@@ -357,18 +344,7 @@ def _project(value: HistoryExpression | Contract) -> HistoryExpression:
 
 @lru_cache(maxsize=REVERSIBLE_CACHE_SIZE)
 def _decide(client_term: HistoryExpression, server_term: HistoryExpression,
-            engine: str, max_states: int) -> ReversibleResult:
-    if engine == "compiled":
-        # Imported lazily: the compiled layer builds on this module.
-        from repro.compiled.reversible import compiled_check_reversible
-        return compiled_check_reversible(client_term, server_term,
-                                         max_states)
-    return _interpreted(client_term, server_term, max_states)
-
-
-def _interpreted(client_term: HistoryExpression,
-                 server_term: HistoryExpression,
-                 max_states: int) -> ReversibleResult:
+            max_states: int) -> ReversibleResult:
     client_c = Contract(client_term, already_projected=True)
     server_c = Contract(server_term, already_projected=True)
     client_lts = client_c.lts

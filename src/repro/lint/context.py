@@ -27,10 +27,8 @@ from repro.lang.module import Declaration, Module
 class LintContext:
     """Everything rules may ask about the module under analysis."""
 
-    def __init__(self, module: Module, *,
-                 engine: str = "onthefly") -> None:
+    def __init__(self, module: Module) -> None:
         self.module = module
-        self.engine = engine
         self._compliance: dict[tuple[HistoryExpression, HistoryExpression],
                                bool | None] = {}
 
@@ -145,8 +143,7 @@ class LintContext:
         key = (body, service)
         if key not in self._compliance:
             try:
-                verdict = check_compliance(body, service,
-                                           engine=self.engine).compliant
+                verdict = check_compliance(body, service).compliant
             except (ReproError, ValueError):
                 verdict = None
             self._compliance[key] = verdict

@@ -21,20 +21,17 @@ from repro.observability import runtime as _telemetry
 def lint_module(module: Module, registry: RuleRegistry | None = None, *,
                 select: Iterable[str] | None = None,
                 ignore: Iterable[str] | None = None,
-                min_severity: Severity | None = None,
-                engine: str = "onthefly") -> list[Diagnostic]:
+                min_severity: Severity | None = None) -> list[Diagnostic]:
     """Run the (selected) lint rules over *module*.
 
     ``select``/``ignore`` narrow the rule set by code; ``min_severity``
     keeps only rules of at least that default severity (how ``check``
     runs the error rules only).  Diagnostics come back sorted by source
-    position, then code.  ``engine`` picks the compliance engine behind
-    the pairwise verdicts (see
-    :func:`repro.core.compliance.check_compliance`).
+    position, then code.
     """
     rules = (registry or default_registry()).rules(
         select=select, ignore=ignore, min_severity=min_severity)
-    context = LintContext(module, engine=engine)
+    context = LintContext(module)
     tel = _telemetry.active()
     diagnostics: list[Diagnostic] = []
     for rule in rules:

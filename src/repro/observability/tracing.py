@@ -91,9 +91,9 @@ class Span:
 class Tracer:
     """A factory and store of spans.
 
-    The *current parent* is tracked per thread, so spans opened by the
-    planner's worker threads become independent roots instead of
-    corrupting each other's nesting.
+    The *current parent* is tracked per thread, so spans opened by
+    concurrent threads become independent roots instead of corrupting
+    each other's nesting.
     """
 
     def __init__(self) -> None:

@@ -13,8 +13,7 @@ restores the snapshot and *bans* the tried keys until the component
 fires again, steering the scheduler onto a different branch.  Because
 the restored history is exactly the recorded prefix at push time,
 histories remain valid prefixes of balanced histories across rewinds —
-the invariant the property suite replays through all four compliance
-engines.
+the invariant the property suite checks on every recorded history.
 
 :class:`RollbackPolicy` is the knob surface (``chaos --no-rollback`` /
 ``--max-rollbacks`` on the CLI): rollback attempts per recovery episode

@@ -55,22 +55,17 @@ from repro.staticcheck.witness import (StuckWitness, ValidityWitness,
 
 #: The cache-stats names owned by the staticcheck memo tables.
 _CACHE_NAMES = ("staticcheck.validity", "staticcheck.compliance",
-                "staticcheck.validity_compiled",
-                "staticcheck.compliance_compiled",
                 "staticcheck.plans")
 
 
 def clear_staticcheck_caches() -> None:
     """Drop the staticcheck memo tables (validity, compliance and plan
-    certificates, interpreted and compiled engines alike) and rebaseline
-    their cache-stats adapters."""
+    certificates) and rebaseline their cache-stats adapters."""
     from repro.staticcheck import compliance as _compliance
     from repro.staticcheck import plans as _plans
     from repro.staticcheck import validity as _validity
     _validity._certify.cache_clear()
-    _validity._certify_compiled.cache_clear()
     _compliance._certify.cache_clear()
-    _compliance._certify_compiled.cache_clear()
     _plans._explain.cache_clear()
     reset_cache_stats(*_CACHE_NAMES)
 

@@ -66,37 +66,22 @@ class ComplianceCertificate:
 
 def certify_compliance(client: HistoryExpression | Contract,
                        server: HistoryExpression | Contract, *,
-                       max_states: int = DEFAULT_STATE_LIMIT,
-                       engine: str = "interpreted"
+                       max_states: int = DEFAULT_STATE_LIMIT
                        ) -> ComplianceCertificate:
     """Certify ``client ⊢ server`` (Definition 4) as a greatest fixpoint,
     with a stuck-configuration witness on refusal.
 
     Memoised on the projected pair; the verdict provably agrees with the
-    product-emptiness engines of :mod:`repro.core.compliance` (the test
-    suite cross-validates all of them).
-
-    ``engine="compiled"`` explores the same candidate relation over the
-    interned integer tables of :mod:`repro.compiled` (refusals decided on
-    precompiled channel bitmasks) — identical verdict, relation size and
-    witness; the certificate's ``iterations`` is 0, as no removal system
-    is solved.
+    product-emptiness decider of :mod:`repro.core.compliance` (the test
+    suite cross-validates them).
     """
-    if engine == "compiled":
-        certify = _certify_compiled
-    elif engine == "interpreted":
-        certify = _certify
-    else:
-        raise ValueError(f"unknown certification engine {engine!r} "
-                         "(expected 'interpreted' or 'compiled')")
     client_c = client if isinstance(client, Contract) else Contract(client)
     server_c = server if isinstance(server, Contract) else Contract(server)
     tel = _telemetry.active()
     if tel is None:
-        return certify(client_c.term, server_c.term, max_states)
-    with tel.tracer.span("staticcheck.certify_compliance",
-                         engine=engine) as span:
-        certificate = certify(client_c.term, server_c.term, max_states)
+        return _certify(client_c.term, server_c.term, max_states)
+    with tel.tracer.span("staticcheck.certify_compliance") as span:
+        certificate = _certify(client_c.term, server_c.term, max_states)
         span.set(compliant=certificate.compliant, pairs=certificate.pairs,
                  iterations=certificate.iterations)
         verdict = "compliant" if certificate.compliant else "witness"
@@ -181,29 +166,6 @@ def _certify(client_term: HistoryExpression, server_term: HistoryExpression,
 
 
 track_cache("staticcheck.compliance", _certify)
-
-
-@lru_cache(maxsize=COMPLIANCE_CACHE_SIZE)
-def _certify_compiled(client_term: HistoryExpression,
-                      server_term: HistoryExpression,
-                      max_states: int) -> ComplianceCertificate:
-    from repro.compiled.search import compiled_relation
-    from repro.compiled.tables import compile_contract
-    relation = compiled_relation(
-        compile_contract(Contract(client_term, already_projected=True)),
-        compile_contract(Contract(server_term, already_projected=True)),
-        max_states)
-    if relation.trace is None:
-        return ComplianceCertificate(True, None, relation.pairs, 0)
-    h1, h2 = relation.trace[-1]
-    witness = StuckWitness(trace=relation.trace,
-                           client_ready=ready_sets(h1),
-                           server_ready=ready_sets(h2),
-                           unmatched=unmatched_pairs(h1, h2))
-    return ComplianceCertificate(False, witness, relation.pairs, 0)
-
-
-track_cache("staticcheck.compliance_compiled", _certify_compiled)
 
 
 def _removed(pair: PairState, refusing: dict, successors: dict,

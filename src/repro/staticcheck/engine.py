@@ -163,30 +163,22 @@ class ModuleAnalysis:
 
 
 def analyze_module(module: Module, *,
-                   max_plans: int | None = None,
-                   engine: str = "interpreted") -> ModuleAnalysis:
-    """Run the whole-network static analysis on *module*.
-
-    ``engine="compiled"`` routes the validity and compliance
-    certifications through the compiled core (:mod:`repro.compiled`) —
-    identical reports, faster on large modules."""
+                   max_plans: int | None = None) -> ModuleAnalysis:
+    """Run the whole-network static analysis on *module*."""
     tel = _telemetry.active()
     if tel is None:
-        return _analyze(module, max_plans, engine)
+        return _analyze(module, max_plans)
     with tel.tracer.span("staticcheck.analyze_module",
-                         module=module.path or "<module>",
-                         engine=engine) as span:
-        analysis = _analyze(module, max_plans, engine)
+                         module=module.path or "<module>") as span:
+        analysis = _analyze(module, max_plans)
         span.set(ok=analysis.ok, terms=len(analysis.terms),
                  pairs=len(analysis.pairs))
         tel.emit("staticcheck.verdict", ok=analysis.ok,
-                 engine=engine, terms=len(analysis.terms),
-                 pairs=len(analysis.pairs))
+                 terms=len(analysis.terms), pairs=len(analysis.pairs))
         return analysis
 
 
-def _analyze(module: Module, max_plans: int | None,
-             engine: str) -> ModuleAnalysis:
+def _analyze(module: Module, max_plans: int | None) -> ModuleAnalysis:
     repository = module.repository
 
     terms = []
@@ -194,7 +186,7 @@ def _analyze(module: Module, max_plans: int | None,
                         ("service", module.services)):
         for name, term in table.items():
             terms.append(TermReport(name, kind, analyse_labels(term),
-                                    certify_validity(term, engine=engine)))
+                                    certify_validity(term)))
 
     pairs = []
     for kind, table in (("client", module.clients),
@@ -203,7 +195,7 @@ def _analyze(module: Module, max_plans: int | None,
             for info in extract_requests(term):
                 for location in repository.locations():
                     certificate = certify_compliance(
-                        info.body, repository[location], engine=engine)
+                        info.body, repository[location])
                     pairs.append(PairReport(name, info.request, location,
                                             certificate))
 

@@ -30,14 +30,12 @@ from repro.core.actions import is_history_label
 from repro.core.errors import StateSpaceLimitError
 from repro.core.semantics import step
 from repro.core.syntax import HistoryExpression, policies_of
+from repro.contracts.lts import DEFAULT_STATE_LIMIT
 from repro.observability import runtime as _telemetry
 from repro.observability.cache_stats import track_cache
 from repro.analysis.security import (MonitorState, advance_monitor,
                                      fresh_monitor_state)
 from repro.staticcheck.witness import ValidityWitness, automaton_states
-
-#: Default bound on explored ⟨residual, monitor⟩ product states.
-DEFAULT_STATE_LIMIT = 200_000
 
 #: Entries kept in the certification memo table (see
 #: :func:`repro.staticcheck.clear_staticcheck_caches`).
@@ -63,31 +61,19 @@ class ValidityCertificate:
 
 
 def certify_validity(term: HistoryExpression, *,
-                     max_states: int = DEFAULT_STATE_LIMIT,
-                     engine: str = "interpreted") -> ValidityCertificate:
+                     max_states: int = DEFAULT_STATE_LIMIT
+                     ) -> ValidityCertificate:
     """Certify that every run of *term* yields a valid history.
 
     Memoised on the (immutable) term; the telemetry wrapper records the
     verdict, the explored-state count and the witness length.
-
-    ``engine="compiled"`` runs the same product BFS over interned
-    residual/monitor ids with memoised monitor advancement
-    (:func:`repro.compiled.validity.compiled_certify_validity`) —
-    identical certificate, typically much faster on policy-heavy terms.
+    *max_states* bounds the explored ⟨residual, monitor⟩ product states.
     """
-    if engine == "compiled":
-        certify = _certify_compiled
-    elif engine == "interpreted":
-        certify = _certify
-    else:
-        raise ValueError(f"unknown certification engine {engine!r} "
-                         "(expected 'interpreted' or 'compiled')")
     tel = _telemetry.active()
     if tel is None:
-        return certify(term, max_states)
-    with tel.tracer.span("staticcheck.certify_validity",
-                         engine=engine) as span:
-        certificate = certify(term, max_states)
+        return _certify(term, max_states)
+    with tel.tracer.span("staticcheck.certify_validity") as span:
+        certificate = _certify(term, max_states)
         span.set(valid=certificate.valid, explored=certificate.explored)
         verdict = "valid" if certificate.valid else "witness"
         tel.metrics.counter("staticcheck.certifications",
@@ -139,13 +125,3 @@ def _certify(term: HistoryExpression,
 
 
 track_cache("staticcheck.validity", _certify)
-
-
-@lru_cache(maxsize=VALIDITY_CACHE_SIZE)
-def _certify_compiled(term: HistoryExpression,
-                      max_states: int) -> ValidityCertificate:
-    from repro.compiled.validity import compiled_certify_validity
-    return compiled_certify_validity(term, max_states)
-
-
-track_cache("staticcheck.validity_compiled", _certify_compiled)

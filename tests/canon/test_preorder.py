@@ -11,10 +11,9 @@ from repro.contracts.subcontract import subcontract as interpreted_subcontract
 from repro.core.compliance import check_compliance
 from repro.core.syntax import (EPSILON, Var, external, internal, mu,
                                receive, send)
+from tests.deciders import DECIDERS
 
 EXAMPLES = Path(__file__).parents[2] / "examples"
-
-ENGINES = ("onthefly", "eager", "gfp", "compiled")
 
 
 class TestVerdicts:
@@ -90,14 +89,17 @@ class TestVerdicts:
 
 
 class TestWitnesses:
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", DECIDERS)
     def test_witness_replays_on_every_engine(self, engine):
         result = subcontract_preorder(external(("a", EPSILON),
                                                ("b", EPSILON)),
                                       receive("a"))
         witness = result.witness
         assert witness is not None
-        assert witness.replays(engine=engine)
+        assert witness.replays()
+        decide = DECIDERS[engine]
+        assert decide(witness.client, witness.smaller)
+        assert not decide(witness.client, witness.larger)
 
     def test_witness_client_is_concrete(self):
         result = subcontract_preorder(send("a"),

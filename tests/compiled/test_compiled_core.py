@@ -152,9 +152,7 @@ class TestMemoisationAndClearCascade:
 
     def test_compiled_stats_surface_in_contract_cache_stats(self):
         stats = contract_cache_stats()
-        for name in ("compiled.contract", "compiled.reprs",
-                     "compiled.validity_terms"):
-            assert name in stats, name
+        assert "compiled.contract" in stats
 
     def test_label_table_stats_reflect_compiled_state(self):
         from repro.compiled.tables import label_table_stats

@@ -124,27 +124,30 @@ class TestEarlyExit:
 
 
 class TestEngineParameter:
+    """``check_compliance`` has one engine, the on-the-fly search; the
+    explicit automaton stays as the oracle it is checked against."""
+
     def test_eager_engine_matches_default(self):
         cases = TestTheorem1.CASES
         for client, server in cases:
             lazy = check_compliance(client, server)
-            eager = check_compliance(client, server, engine="eager")
-            assert lazy.compliant == eager.compliant
+            eager = product_of(client, server)
+            assert lazy.compliant == eager.language_is_empty()
             if not lazy.compliant:
-                assert lazy.trace is not None and eager.trace is not None
-                assert len(lazy.trace) == len(eager.trace)
+                assert lazy.trace is not None
+                assert len(lazy.trace) == len(eager.counterexample())
 
     def test_unknown_engine_rejected(self):
         try:
-            check_compliance(send("a"), receive("a"), engine="psychic")
-        except ValueError as error:
-            assert "psychic" in str(error)
+            check_compliance(send("a"), receive("a"), engine="eager")
+        except TypeError as error:
+            assert "engine" in str(error)
         else:
-            raise AssertionError("bad engine accepted")
+            raise AssertionError("engine argument accepted")
 
     def test_events_are_transparent_to_both_engines(self):
         from repro.core.syntax import event
         client = seq(event("log"), send("a"))
         server = seq(event("audit", 7), receive("a"))
         assert check_compliance(client, server).compliant
-        assert check_compliance(client, server, engine="eager").compliant
+        assert product_of(client, server).language_is_empty()

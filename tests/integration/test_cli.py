@@ -223,18 +223,40 @@ class TestStatsFlag:
         assert "-- metrics --" not in capsys.readouterr().out
 
 
-class TestEngineFlag:
-    """`--engine` on check/analyze/compliance: every engine returns the
-    same exit code and verdict; `--stats` shows the compiled telemetry."""
+BRANCHY = """
+[clients.me]
+term = "open r { (!a . !x ++ !b) }"
 
-    ENGINES = ("onthefly", "eager", "gfp", "compiled")
+[clients.doomed]
+term = "open r { !a . !x }"
+
+[services.branchy]
+term = "(?a . ?y + ?b)"
+
+[services.strict]
+term = "?a . ?y"
+"""
+
+
+class TestEngineFlag:
+    """check/analyze/compliance take no `--engine`: each question has
+    one decider.  `compliance --reversible` asks the weaker
+    checkpoint/rollback question, with the ordinary check's output
+    shape."""
+
+    @pytest.fixture()
+    def branchy_file(self, tmp_path):
+        path = tmp_path / "branchy.toml"
+        path.write_text(BRANCHY)
+        return str(path)
 
     def test_compliance_engines_agree_positive(self, network_file,
                                                capsys):
-        for engine in self.ENGINES:
+        # Ordinary compliance implies reversible compliance.
+        for flags in ([], ["--reversible"]):
             assert main(["compliance", network_file, "me", "good",
-                         "--engine", engine]) == 0, engine
-            assert "compliant" in capsys.readouterr().out
+                         *flags]) == 0, flags
+            assert capsys.readouterr().out == "me ⊢ good: compliant\n"
 
     def test_compliance_engines_agree_negative(self, tmp_path, capsys):
         path = tmp_path / "net.toml"
@@ -245,42 +267,54 @@ term = "open r { !job . ?done }"
 [services.mute]
 term = "?job"
 """)
-        for engine in self.ENGINES:
+        for flags in ([], ["--reversible"]):
             assert main(["compliance", str(path), "me", "mute",
-                         "--engine", engine]) == 1, engine
-            assert "NOT compliant" in capsys.readouterr().out
+                         *flags]) == 1, flags
+            assert capsys.readouterr().out == (
+                "me ⊬ mute: NOT compliant\n"
+                "  stuck after 1 synchronisations\n")
+
+    def test_reversible_accepts_what_rollback_rescues(self, branchy_file,
+                                                      capsys):
+        # Branch `a` strands the client; rolling back to take `b` works.
+        assert main(["compliance", branchy_file, "me", "branchy"]) == 1
+        capsys.readouterr()
+        assert main(["compliance", branchy_file, "me", "branchy",
+                     "--reversible"]) == 0
+        assert capsys.readouterr().out == "me ⊢ branchy: compliant\n"
+
+    def test_reversible_rejects_a_doomed_pair(self, branchy_file, capsys):
+        assert main(["compliance", branchy_file, "doomed", "strict",
+                     "--reversible"]) == 1
+        assert capsys.readouterr().out == (
+            "doomed ⊬ strict: NOT compliant\n"
+            "  stuck after 1 synchronisations\n")
 
     def test_check_with_compiled_engine(self, network_file, capsys):
-        assert main(["check", network_file, "--engine", "compiled"]) == 0
-        assert "me: well formed" in capsys.readouterr().out
-
-    def test_analyze_output_identical_across_engines(self, network_file,
-                                                     capsys):
-        assert main(["analyze", network_file, "--format", "json"]) == 0
-        default_out = capsys.readouterr().out
-        assert main(["analyze", network_file, "--format", "json",
-                     "--engine", "compiled"]) == 0
-        compiled_out = capsys.readouterr().out
-        assert default_out == compiled_out
+        with pytest.raises(SystemExit) as exit_info:
+            main(["check", network_file, "--engine", "compiled"])
+        assert exit_info.value.code == 2
 
     def test_stats_shows_compile_telemetry(self, network_file, capsys):
-        # Compilation telemetry fires on memo misses only — start from a
-        # cold cache so this run actually compiles.
+        # The registry is what runs on compiled tables.  Compilation
+        # telemetry fires on memo misses only — start from a cold cache
+        # so this run actually compiles.
         from repro.contracts.contract import clear_contract_caches
         clear_contract_caches()
-        assert main(["--stats", "compliance", network_file, "me", "good",
-                     "--engine", "compiled"]) == 0
+        assert main(["--stats", "registry", network_file,
+                     "--query-compliant", "me"]) == 0
         out = capsys.readouterr().out
         assert "compile.contracts" in out
         assert "compile.states_interned" in out
         assert "cache compiled.contract:" in out
-        assert "compliance.checks{engine=compiled" in out
 
     def test_unknown_engine_is_a_usage_error(self, network_file, capsys):
-        import pytest as _pytest
-        with _pytest.raises(SystemExit):
-            main(["compliance", network_file, "me", "good",
-                  "--engine", "quantum"])
+        for argv in (["analyze", "--engine", "compiled", network_file],
+                     ["compliance", network_file, "me", "good",
+                      "--engine", "reversible"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2, argv
 
 
 class TestExplainCommand:

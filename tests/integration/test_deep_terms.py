@@ -1,9 +1,10 @@
 """Deep sequential services.
 
 Hashing, free variables and re-sequencing are O(1) per node on the
-interned core, so a 500-step service certifies on every engine.  A
-service nested deeper than the tree walks can recurse is an input the
-tool cannot take: ``repro`` exits 2 with one ``error:`` line.
+interned core, so a 500-step service certifies, and every compliance
+decider accepts it.  A service nested deeper than the tree walks can
+recurse is an input the tool cannot take: ``repro`` exits 2 with one
+``error:`` line.
 """
 
 import os
@@ -13,9 +14,16 @@ import sys
 
 import pytest
 
-from repro.cli import main
+from repro.analysis.requests import extract_requests
+from repro.cli import load_module, main
+from repro.core.reversible import check_reversible
+from tests.deciders import DECIDERS
 
-ENGINES = ("onthefly", "eager", "gfp", "compiled", "reversible")
+#: The compliance deciders plus the weaker reversible relation (implied
+#: by compliance, so it must accept too).
+ALL_DECIDERS = {**DECIDERS,
+                "reversible": lambda body, service: check_reversible(
+                    body, service).compliant}
 
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
 
@@ -36,12 +44,18 @@ def deep_module(tmp_path_factory):
     return str(path)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_500_step_service_is_accepted(deep_module, engine, capsys):
-    assert main(["analyze", "--engine", engine, deep_module]) == 0
+def test_500_step_module_is_certified(deep_module, capsys):
+    assert main(["analyze", deep_module]) == 0
     out = capsys.readouterr().out
     assert "request 1 (lc1) |- ls1: compliant" in out
     assert "verdict: accepted" in out
+
+
+@pytest.mark.parametrize("decider", ALL_DECIDERS)
+def test_500_step_service_is_accepted(deep_module, decider):
+    module = load_module(deep_module)
+    body = extract_requests(module.clients["lc1"])[0].body
+    assert ALL_DECIDERS[decider](body, module.services["ls1"])
 
 
 def test_too_deep_service_exits_2_with_one_line(tmp_path):

@@ -13,6 +13,7 @@ import pathlib
 import pytest
 
 from repro.cli import main
+from repro.contracts.contract import clear_contract_caches
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
 RESILIENT = str(REPO / "examples" / "resilient_booking.sus")
@@ -108,13 +109,18 @@ class TestReportText:
 
 class TestStatsExtensions:
     def test_stats_prints_compiled_tables_and_events(self, capsys):
-        status = main(["--stats", "analyze", HOTEL,
-                       "--engine", "compiled"])
+        # The registry runs on compiled tables; start cold so this run
+        # compiles (and emits) rather than hitting the memo.
+        clear_contract_caches()
+        status = main(["--stats", "registry", HOTEL,
+                       "--query-compliant", "lc1"])
         assert status == 0
         out = capsys.readouterr().out
         assert "compiled tables:" in out
+        assert "0 compiled contract(s)" not in out
         assert "event compile.contract:" in out
-        assert "event staticcheck.verdict: 1" in out
+        assert main(["--stats", "analyze", HOTEL]) == 0
+        assert "event staticcheck.verdict: 1" in capsys.readouterr().out
 
     def test_stats_chaos_counts_recovery_events(self, capsys):
         status = main(["--stats", "chaos", RESILIENT, "--seed", "7",

@@ -9,8 +9,11 @@ touching behaviour.
 
 import pytest
 
+from repro.compiled.search import compiled_search
+from repro.compiled.tables import compile_contract
 from repro.core.syntax import external, internal, receive, send
 from repro.contracts.contract import Contract
+from repro.contracts.lts import DEFAULT_STATE_LIMIT
 from repro.contracts.product import search_product
 from repro.core.compliance import check_compliance
 from repro.observability import runtime
@@ -64,15 +67,18 @@ class TestDisabledFastPath:
             "disabled telemetry must not append flight-recorder events"
 
     def test_compiled_s1_hot_path_allocates_nothing(self, contracts):
-        """The S1 hot path under ``engine="compiled"``: with telemetry
-        off, the compile + search pipeline constructs zero spans and
-        appends zero flight-recorder events."""
+        """The compiled S1 hot path (the registry's decider): with
+        telemetry off, the compile + search pipeline constructs zero
+        spans and appends zero flight-recorder events."""
         client, server = contracts
-        search_product(client, server, engine="compiled")  # warm tables
+        compile_contract(client)  # warm tables
+        compile_contract(server)
         spans_before = Span.constructed
         events_before = Event.appended
         for _ in range(5):
-            result = search_product(client, server, engine="compiled")
+            result = compiled_search(compile_contract(client),
+                                     compile_contract(server),
+                                     DEFAULT_STATE_LIMIT)
         assert result.empty
         assert Span.constructed == spans_before
         assert Event.appended == events_before

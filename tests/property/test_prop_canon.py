@@ -3,16 +3,16 @@
 Three families of seeded properties:
 
 * **Quotient soundness** — running the product-emptiness search on
-  bisimulation quotients yields exactly the verdict of all four
-  compliance engines on the original contracts.
+  bisimulation quotients yields exactly the verdict of every
+  compliance decider on the original contracts.
 * **Fingerprint stability** — canonical fingerprints are invariant
   under label-interning order (a cache flush plus a different warm-up
   must reproduce them bit for bit) and agree with canonical equality on
   random samples.
 * **Preorder soundness** — over ≥200 seeded contract pairs: when
   ``H1 ≼ H2`` holds, every sampled client compliant with ``H1`` stays
-  compliant with ``H2`` on all four engines; when it is refused, the
-  synthesised witness client replays concretely on all four engines
+  compliant with ``H2`` on every decider; when it is refused, the
+  synthesised witness client replays concretely on every decider
   (compliant with ``H1``, stuck against ``H2``); and the interpreted
   ``subcontract`` — a sound under-approximation — never accepts a pair
   the exact decider refuses.
@@ -30,10 +30,10 @@ from repro.contracts.subcontract import subcontract as interpreted_subcontract
 from repro.core.compliance import check_compliance
 from repro.core.duality import dual
 from repro.core.syntax import (EPSILON, external, internal, mu, seq, send)
+from tests.deciders import DECIDERS
 
 SEED = 0xCA404
 PREORDER_ROUNDS = 210
-ENGINES = ("onthefly", "eager", "gfp", "compiled")
 SEARCH_LIMIT = 100_000
 
 
@@ -88,9 +88,8 @@ class TestQuotientSoundness:
             quotiented = compiled_search(minimize(client),
                                          minimize(server),
                                          SEARCH_LIMIT).empty
-            for engine in ENGINES:
-                direct = check_compliance(client, server,
-                                          engine=engine).compliant
+            for engine, decide in DECIDERS.items():
+                direct = decide(client, server)
                 if direct != quotiented:
                     disagreements.append((round_no, engine, direct,
                                           quotiented))
@@ -157,13 +156,10 @@ class TestPreorderSoundness:
             clients = [dual(h1)] + [random_contract(rng, rng.randint(1, 3))
                                     for _ in range(2)]
             for client in clients:
-                if not check_compliance(client, h1,
-                                        engine="compiled").compliant:
+                if not check_compliance(client, h1).compliant:
                     continue
-                for engine in ENGINES:
-                    assert check_compliance(client, h2,
-                                            engine=engine).compliant, \
-                        (h1, h2, client, engine)
+                for engine, decide in DECIDERS.items():
+                    assert decide(client, h2), (h1, h2, client, engine)
         assert positives >= 40  # reflexive seeds guarantee plenty
 
     def test_every_refusal_witness_replays_on_every_engine(self):
@@ -175,13 +171,9 @@ class TestPreorderSoundness:
             refusals += 1
             witness = result.witness
             assert witness is not None, (h1, h2)
-            for engine in ENGINES:
-                assert check_compliance(witness.client, h1,
-                                        engine=engine).compliant, \
-                    (h1, h2, engine)
-                assert not check_compliance(witness.client, h2,
-                                            engine=engine).compliant, \
-                    (h1, h2, engine)
+            for engine, decide in DECIDERS.items():
+                assert decide(witness.client, h1), (h1, h2, engine)
+                assert not decide(witness.client, h2), (h1, h2, engine)
         assert refusals >= 40
 
     def test_interpreted_subcontract_never_beats_the_exact_decider(self):

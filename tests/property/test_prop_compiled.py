@@ -1,12 +1,18 @@
-"""Differential testing of the compiled core against every interpreted
-engine.
+"""Differential testing of the production deciders against their
+oracles.
 
 Over seeded random contract pairs (the same workload generators the
 on-the-fly property suite draws from, plus the T1 random-contract
-grammar) all four compliance engines must agree on the verdict; where an
-engine pair shares exploration semantics the explored-state counts and
-witness traces must be *identical*, and every witness must replay
-against the concrete semantics.
+grammar) the on-the-fly search behind ``check_compliance`` must agree on
+the verdict with the explicit automaton of Definition 5
+(``build_product``), the gfp certifier (``certify_compliance``), the
+literal Definition 4 (``compliant_coinductive``) and the compiled search
+the registry runs (``compiled_search``).  The compiled search shares
+the on-the-fly exploration semantics, so its explored-state counts and
+witness traces must be *identical*; every counterexample is shortest,
+and every witness must replay against the concrete semantics.  The
+static validity certifier is checked the same way against an
+exhaustive walk of every run with the declarative ``is_valid``.
 """
 
 import pathlib
@@ -21,18 +27,27 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[2]
 from workloads import (almost_compliant_server, policy_heavy_client,  # noqa: E402
                        wide_client, wide_server)
 
-from repro.core.compliance import check_compliance  # noqa: E402
+from repro.compiled.search import compiled_search  # noqa: E402
+from repro.compiled.tables import compile_contract  # noqa: E402
+from repro.contracts.contract import Contract  # noqa: E402
+from repro.contracts.lts import DEFAULT_STATE_LIMIT  # noqa: E402
+from repro.contracts.product import (build_product,  # noqa: E402
+                                     search_product)
+from repro.core.actions import is_history_label  # noqa: E402
+from repro.core.compliance import (check_compliance,  # noqa: E402
+                                   compliant_coinductive)
 from repro.core.duality import dual  # noqa: E402
+from repro.core.reversible import check_reversible  # noqa: E402
+from repro.core.semantics import step  # noqa: E402
 from repro.core.syntax import (EPSILON, event, external, framing,  # noqa: E402
                                internal, seq)
+from repro.core.validity import History, is_valid  # noqa: E402
 from repro.policies.library import forbid  # noqa: E402
 from repro.staticcheck.compliance import certify_compliance  # noqa: E402
 from repro.staticcheck.validity import certify_validity  # noqa: E402
 
 SEED = 0xC0DEC
 ROUNDS = 40
-
-ENGINES = ("onthefly", "eager", "gfp", "compiled")
 
 
 def random_contract(rng, depth):
@@ -81,36 +96,60 @@ PAIRS = list(random_pairs(SEED, ROUNDS))
 @pytest.mark.parametrize("client,server", PAIRS,
                          ids=[f"case{i}" for i in range(len(PAIRS))])
 def test_all_four_engines_agree(client, server):
-    results = {engine: check_compliance(client, server, engine=engine)
-               for engine in ENGINES}
-    verdicts = {engine: result.compliant
-                for engine, result in results.items()}
+    client_c, server_c = Contract(client), Contract(server)
+    search = search_product(client_c, server_c)
+    product = build_product(client_c, server_c)
+    certificate = certify_compliance(client, server)
+    compiled = compiled_search(compile_contract(client_c),
+                               compile_contract(server_c),
+                               DEFAULT_STATE_LIMIT)
+    verdicts = {"onthefly": search.empty,
+                "eager": product.language_is_empty(),
+                "gfp": certificate.compliant,
+                "coinductive": compliant_coinductive(client, server),
+                "compiled": compiled.empty}
     assert len(set(verdicts.values())) == 1, verdicts
 
-    # onthefly and compiled share BFS semantics exactly: identical
-    # explored counts and identical (shortest) counterexample traces.
-    assert (results["onthefly"].explored_states
-            == results["compiled"].explored_states)
-    assert results["onthefly"].trace == results["compiled"].trace
+    # The compiled search mirrors the on-the-fly one state for state:
+    # identical explored counts and identical counterexample traces.
+    assert search.explored == compiled.explored
+    assert search.trace == compiled.trace
 
-    # Each engine's witness, when present, is the last element of its
-    # trace and genuinely stuck.
-    for engine, result in results.items():
-        if not result.compliant:
-            assert result.trace, engine
-            assert result.witness == result.trace[-1], engine
+    # check_compliance reports the on-the-fly search unchanged.
+    result = check_compliance(client, server)
+    assert result.compliant == search.empty
+    assert result.trace == search.trace
+    assert result.explored_states == search.explored
+
+    # Every counterexample is shortest: the explicit automaton and the
+    # gfp certifier reach a stuck pair at the same depth, and the
+    # witness ends the trace.
+    if not result.compliant:
+        assert result.witness == result.trace[-1]
+        assert len(product.counterexample()) == len(result.trace)
+        assert len(certificate.witness.trace) == len(result.trace)
 
 
 @pytest.mark.parametrize("client,server", PAIRS,
                          ids=[f"case{i}" for i in range(len(PAIRS))])
 def test_gfp_certificates_identical_across_engines(client, server):
-    interpreted = certify_compliance(client, server)
-    compiled = certify_compliance(client, server, engine="compiled")
-    assert interpreted.compliant == compiled.compliant
-    assert interpreted.pairs == compiled.pairs
-    assert interpreted.witness == compiled.witness
-    if compiled.witness is not None:
-        assert compiled.witness.replays()
+    """The gfp certificate against the on-the-fly search: one verdict;
+    on compliant pairs the candidate relation is exactly the reachable
+    product the search exhausts; a refusal witness replays and ends in
+    a pair the search also finds stuck."""
+    certificate = certify_compliance(client, server)
+    client_c, server_c = Contract(client), Contract(server)
+    search = search_product(client_c, server_c)
+    assert certificate.compliant == search.empty
+    if certificate.compliant:
+        assert certificate.witness is None
+        assert certificate.pairs == search.explored
+        assert certificate.pairs == len(build_product(client_c,
+                                                      server_c).lts)
+    else:
+        assert certificate.witness.replays()
+        assert len(certificate.witness.trace) == len(search.trace)
+        assert certificate.witness.trace[0] == search.trace[0]
 
 
 VALID_TERMS = [policy_heavy_client(policies, events)
@@ -124,24 +163,50 @@ VIOLATING_TERMS = [
 ]
 
 
+def every_run_valid(term) -> bool:
+    """Oracle: walk every run of the (acyclic) *term*, checking each
+    history it produces with the declarative ``is_valid``."""
+    pending = [(term, ())]
+    while pending:
+        residual, history = pending.pop()
+        for label, successor in step(residual):
+            extended = history + ((label,) if is_history_label(label)
+                                  else ())
+            if not is_valid(History(extended)):
+                return False
+            pending.append((successor, extended))
+    return True
+
+
 @pytest.mark.parametrize("term", VALID_TERMS + VIOLATING_TERMS,
                          ids=[f"term{i}" for i in
                               range(len(VALID_TERMS) + len(VIOLATING_TERMS))])
 def test_validity_certificates_identical_across_engines(term):
-    interpreted = certify_validity(term)
-    compiled = certify_validity(term, engine="compiled")
-    assert interpreted.valid == compiled.valid
-    assert interpreted.explored == compiled.explored
-    assert interpreted.witness == compiled.witness
-    if compiled.witness is not None:
-        assert compiled.witness.replays()
+    """The static validity certificate against the exhaustive oracle:
+    one verdict, and a witness that replays sharply — valid right up to
+    its last label, which the declarative checker refuses."""
+    certificate = certify_validity(term)
+    assert certificate.valid == every_run_valid(term)
+    assert (term in VALID_TERMS) == certificate.valid
+    if certificate.witness is not None:
+        labels = certificate.witness.labels
+        assert certificate.witness.replays()
+        assert is_valid(History(labels[:-1]))
+        assert not is_valid(History(labels))
 
 
 def test_unknown_engines_are_rejected():
+    """No decider takes an ``engine`` argument any more: each question
+    has one production path."""
     client, server = PAIRS[0]
-    with pytest.raises(ValueError, match="unknown compliance engine"):
-        check_compliance(client, server, engine="vectorised")
-    with pytest.raises(ValueError, match="unknown certification engine"):
-        certify_compliance(client, server, engine="vectorised")
-    with pytest.raises(ValueError, match="unknown certification engine"):
-        certify_validity(VALID_TERMS[0], engine="vectorised")
+    calls = (
+        lambda: check_compliance(client, server, engine="compiled"),
+        lambda: search_product(Contract(client), Contract(server),
+                               engine="compiled"),
+        lambda: certify_compliance(client, server, engine="compiled"),
+        lambda: certify_validity(VALID_TERMS[0], engine="compiled"),
+        lambda: check_reversible(client, server, engine="compiled"),
+    )
+    for call in calls:
+        with pytest.raises(TypeError, match="engine"):
+            call()

@@ -10,10 +10,10 @@ Four families, straight from the subsystem's contract:
   every recorded history (and every *prefix* of it: rewinds truncate
   traces, so the prefix property is precisely the rollback invariant)
   stays valid, across sampled fault plans;
-* **engine agreement** — on random contract pairs the four ordinary
-  compliance engines return one verdict, the two reversible deciders
-  return one verdict, and ordinary compliance implies reversible
-  compliance (Doom lfp soundness);
+* **engine agreement** — on random contract pairs the ordinary
+  compliance decider and its oracles return one verdict, ordinary
+  compliance implies reversible compliance (Doom lfp soundness), and
+  every doom witness replays;
 * **breaker monotonicity** — a circuit breaker only ever moves along
   the legal edges closed→open→half-open→{closed, open}, with
   non-decreasing ticks, no matter the operation sequence.
@@ -33,6 +33,7 @@ from repro.network.repository import Repository
 from repro.resilience.faults import module_requests, sample_fault_plan
 from repro.resilience.supervisor import (BREAKER_EDGES, CircuitBreaker,
                                          Supervisor)
+from tests.deciders import DECIDERS
 from tests.strategies import contracts
 
 
@@ -140,27 +141,24 @@ class TestRollbackPrefixValidity:
 
 
 class TestEngineAgreement:
-    """One verdict across all compliance engines, and the lfp-soundness
-    implication: ordinarily compliant pairs are reversibly compliant."""
-
-    ENGINES = ("onthefly", "eager", "gfp", "compiled")
+    """One verdict across the ordinary compliance deciders, and the
+    lfp-soundness implication: ordinarily compliant pairs are reversibly
+    compliant."""
 
     @settings(max_examples=40, deadline=None)
     @given(client=contracts(max_depth=3), server=contracts(max_depth=3))
     def test_ordinary_engines_agree_and_imply_reversible(self, client,
                                                          server):
-        verdicts = {engine: check_compliance(client, server,
-                                             engine=engine).compliant
-                    for engine in self.ENGINES}
-        assert len(set(verdicts.values())) == 1, verdicts
-        interpreted = check_reversible(client, server,
-                                       engine="interpreted")
-        compiled = check_reversible(client, server, engine="compiled")
-        assert interpreted == compiled
-        if verdicts["onthefly"]:
-            assert interpreted.compliant
-        if not interpreted.compliant:
-            assert interpreted.witness.replays()
+        compliant = check_compliance(client, server).compliant
+        verdicts = {name: decide(client, server)
+                    for name, decide in DECIDERS.items()}
+        assert set(verdicts.values()) == {compliant}, verdicts
+        reversible = check_reversible(client, server)
+        if compliant:
+            assert reversible.compliant
+        if not reversible.compliant:
+            assert reversible.witness.replays()
+            assert reversible.trace[-1] in reversible.witness.rank_table()
 
 
 #: One breaker operation: (op, tick-advance).

@@ -1,8 +1,8 @@
 """Unit tests for the static validity and compliance certifiers.
 
 Both certificates are cross-validated against the pre-existing deciders
-(the concrete :class:`ValidityMonitor`, the on-the-fly/eager compliance
-engines) and their witnesses must replay concretely.
+(the concrete :class:`ValidityMonitor`, the on-the-fly search and the
+explicit product automaton) and their witnesses must replay concretely.
 """
 
 import pytest
@@ -10,7 +10,8 @@ import pytest
 from repro.core.compliance import (check_compliance, compliant_coinductive)
 from repro.core.errors import StateSpaceLimitError
 from repro.core.syntax import event, framing, request, seq, send
-from repro.contracts.contract import clear_contract_caches
+from repro.contracts.contract import Contract, clear_contract_caches
+from repro.contracts.product import build_product
 from repro.policies.library import forbid
 from repro.staticcheck import (certify_compliance, certify_validity,
                                clear_staticcheck_caches)
@@ -67,10 +68,11 @@ class TestCompliance:
             certificate = certify_compliance(client, server)
             assert certificate.compliant == compliant_coinductive(
                 client, server), (client, server)
-            for engine in ("onthefly", "eager", "gfp"):
-                result = check_compliance(client, server, engine=engine)
-                assert certificate.compliant == result.compliant, \
-                    (engine, client, server)
+            assert certificate.compliant == check_compliance(
+                client, server).compliant, (client, server)
+            assert certificate.compliant == build_product(
+                Contract(client), Contract(server)).language_is_empty(), \
+                (client, server)
 
     def test_refusals_carry_replayable_stuck_witnesses(self):
         for client, server in TestTheorem1.CASES:
@@ -82,13 +84,17 @@ class TestCompliance:
                 assert certificate.witness.replays(), (client, server)
 
     def test_gfp_engine_reports_the_stuck_state(self):
-        result = check_compliance(send("a"), send("a"), engine="gfp")
-        assert not result.compliant
-        assert result.trace  # the synchronisation path into the refusal
+        certificate = certify_compliance(send("a"), send("a"))
+        assert not certificate.compliant
+        # The synchronisation path into the refusal ends at the stuck
+        # pair the on-the-fly search reports.
+        assert certificate.witness.trace
+        assert certificate.witness.trace[-1] == check_compliance(
+            send("a"), send("a")).witness
 
     def test_unknown_engine_still_rejected(self):
-        with pytest.raises(ValueError, match="psychic"):
-            check_compliance(send("a"), send("a"), engine="psychic")
+        with pytest.raises(TypeError, match="engine"):
+            certify_compliance(send("a"), send("a"), engine="compiled")
 
     def test_certificate_counts_product_pairs(self):
         certificate = certify_compliance(send("a"), send("a", event("x")))
