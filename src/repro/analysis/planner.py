@@ -25,11 +25,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 from time import perf_counter
 from typing import Iterator
 
 from repro.observability import runtime as _telemetry
+from repro.observability.cache_stats import adapter, track_cache
 
+from repro.contracts.contract import (register_cache_clearer,
+                                      register_cache_stat_names)
 from repro.core.compliance import ComplianceResult, check_compliance
 from repro.core.errors import PlanError
 from repro.core.plans import Plan
@@ -38,6 +42,9 @@ from repro.analysis.requests import RequestInfo, extract_requests
 from repro.analysis.security import SecurityReport, check_security
 from repro.analysis.session_product import (assemble, deadlocked_trees)
 from repro.network.repository import Repository
+
+#: Entries kept in the plan-security cache (see :func:`plan_security`).
+PLAN_SECURITY_CACHE_SIZE = 1024
 
 
 class ComplianceCache:
@@ -182,6 +189,40 @@ def enumerate_plans(client: HistoryExpression,
     yield from resolve(extract_requests(client), Plan.empty())
 
 
+def plan_security(client: HistoryExpression, plan: Plan,
+                  repository: Repository,
+                  location: str = "client") -> SecurityReport:
+    """The security check of the assembled behaviour ``⟨Ĥ, π⟩``:
+    :func:`check_security` over :func:`assemble`, memoised.
+
+    Assembly reads the repository only at the locations *plan* binds
+    (an ``open`` fires against ``repository.get(plan.lookup(r))``), so
+    the key is the client, its location, the plan and the services at
+    those locations, ``None`` for a location the repository lacks.  The
+    key is exact, and every pass of one command over the same
+    ``⟨Ĥ, π⟩`` shares an entry: the verifications, the replans over a
+    healthy sub-repository and the explainer's passes alike.  A search
+    that exceeds its state budget raises on every call and is never
+    cached.  ``clear_contract_caches()`` empties the cache.
+    """
+    targets = sorted({target for _, target in plan.items()})
+    bound = tuple((target, repository.get(target)) for target in targets)
+    return _plan_security(client, location, plan, bound)
+
+
+@lru_cache(maxsize=PLAN_SECURITY_CACHE_SIZE)
+def _plan_security(client: HistoryExpression, location: str, plan: Plan,
+                   bound: tuple) -> SecurityReport:
+    services = Repository({target: service for target, service in bound
+                           if service is not None}, validate=False)
+    return check_security(assemble(client, plan, services, location))
+
+
+track_cache("analysis.plan_security", _plan_security)
+register_cache_clearer(adapter("analysis.plan_security").clear)
+register_cache_stat_names("analysis.plan_security")
+
+
 def analyze_plan(client: HistoryExpression, plan: Plan,
                  repository: Repository,
                  location: str = "client", *,
@@ -195,7 +236,9 @@ def analyze_plan(client: HistoryExpression, plan: Plan,
     checking entirely — the plan is already invalid, and compliance of a
     binding is independent of the rest of the plan, so the verdict (and
     the valid/invalid partition) is unchanged; only the per-plan cost
-    drops from O(security product) to O(first failing pair).
+    drops from O(security product) to O(first failing pair).  The
+    security check goes through :func:`plan_security`, so a plan checked
+    before in the process is not assembled again.
     """
     compliance: list[ComplianceCheck] = []
     unserved: list[str] = []
@@ -227,8 +270,7 @@ def analyze_plan(client: HistoryExpression, plan: Plan,
                                 tuple(unserved))
         queue.extend(extract_requests(service))
 
-    lts = assemble(client, plan, repository, location)
-    security = check_security(lts)
+    security = plan_security(client, plan, repository, location)
     return PlanAnalysis(plan, tuple(compliance), security,
                         tuple(unserved))
 
@@ -272,7 +314,10 @@ def find_valid_plans(client: HistoryExpression, repository: Repository,
     decided once.  *prune* (defaults to *memoize*) short-circuits the
     analysis of any plan containing a binding already known to fail
     compliance — such a plan skips even its compliance walk and never
-    reaches the security model checker.  Neither knob changes the
+    reaches the security model checker.  The shortcut covers only
+    request ids opened with one body in the client and every service;
+    a plan binding a reused id is analysed with ``prune=True``, which
+    stops at its first failing occurrence.  Neither knob changes the
     valid/invalid partition: pruned plans are still enumerated and
     reported invalid, carrying the failing check.
     """
@@ -284,7 +329,13 @@ def find_valid_plans(client: HistoryExpression, repository: Repository,
         plans = itertools.islice(plans, max_plans)
 
     #: Bindings whose compliance already failed → the cached failing check.
+    #: Kept only for request ids opened with one body everywhere: such a
+    #: binding fails in every plan containing it.  Which sessions a
+    #: binding of a reused id serves depends on the plan's other
+    #: bindings, so plans binding one are analysed occurrence by
+    #: occurrence.
     bad_bindings: dict[tuple[str, str], ComplianceCheck] = {}
+    one_body = _single_body_requests(client, repository) if prune else ()
 
     def analyse(plan: Plan) -> PlanAnalysis:
         if prune:
@@ -307,7 +358,7 @@ def find_valid_plans(client: HistoryExpression, repository: Repository,
                 perf_counter() - start)
         if prune:
             for check in analysis.compliance:
-                if not check.compliant:
+                if not check.compliant and check.request in one_body:
                     bad_bindings[(check.request, check.location)] = check
         return analysis
 
@@ -347,6 +398,18 @@ def find_valid_plans(client: HistoryExpression, repository: Repository,
         metrics.counter("planner.plans_pruned").inc(
             result.metrics["plans_pruned"])
         return result
+
+
+def _single_body_requests(client: HistoryExpression,
+                          repository: Repository) -> frozenset[str]:
+    """The request ids whose every occurrence, in *client* and in every
+    service of *repository*, opens the same session body."""
+    bodies: dict[str, set[HistoryExpression]] = {}
+    for term in (client, *(service for _, service in repository.items())):
+        for info in extract_requests(term):
+            bodies.setdefault(info.request, set()).add(info.body)
+    return frozenset(request for request, found in bodies.items()
+                     if len(found) == 1)
 
 
 def unfailing_in_product(client: HistoryExpression, plan: Plan,

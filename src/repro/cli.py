@@ -435,23 +435,23 @@ def _parse_fault_kinds(spec: str) -> tuple[str, ...]:
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
     """Verify, then run seeded fault-injection trials with recovery."""
-    from repro.resilience import run_chaos
+    from repro.resilience import (RollbackPolicy, UnverifiedModuleError,
+                                  run_chaos)
     network = load_network(args.network)
     kinds = _parse_fault_kinds(args.faults)
-    verdict = verify_network(network.clients, network.repository)
-    if not verdict.verified:
-        print(verdict.report())
-        return 1
-    from repro.resilience import RollbackPolicy
     rollback = RollbackPolicy(enabled=not args.no_rollback,
                               max_rollbacks=args.max_rollbacks)
-    report = run_chaos(network.clients, network.repository,
-                       trials=args.trials, seed=args.seed, kinds=kinds,
-                       max_faults=args.max_faults,
-                       max_steps=args.max_steps,
-                       recover=not args.no_recover,
-                       rollback=rollback,
-                       module=str(args.network))
+    try:
+        report = run_chaos(network.clients, network.repository,
+                           trials=args.trials, seed=args.seed, kinds=kinds,
+                           max_faults=args.max_faults,
+                           max_steps=args.max_steps,
+                           recover=not args.no_recover,
+                           rollback=rollback,
+                           module=str(args.network))
+    except UnverifiedModuleError as error:
+        print(error.verdict.report())
+        return 1
     if args.format == "json":
         print(report.to_json())
     else:

@@ -22,7 +22,8 @@ from repro.resilience.faults import (FAULT_KINDS, Fault, FaultPlan,
                                      mutate_term, sample_fault_plan,
                                      service_channels)
 from repro.resilience.harness import (CHAOS_SCHEMA, ChaosReport,
-                                      TrialResult, run_chaos)
+                                      TrialResult, UnverifiedModuleError,
+                                      run_chaos)
 from repro.resilience.recovery import (BackoffPolicy, RecoveryEpisode,
                                        compensate, replan,
                                        residual_frame_closes)
@@ -37,5 +38,6 @@ __all__ = [
     "BackoffPolicy", "RecoveryEpisode", "compensate", "replan",
     "residual_frame_closes",
     "BREAKER_EDGES", "CircuitBreaker", "Supervisor", "SupervisorResult",
-    "CHAOS_SCHEMA", "ChaosReport", "TrialResult", "run_chaos",
+    "CHAOS_SCHEMA", "ChaosReport", "TrialResult", "UnverifiedModuleError",
+    "run_chaos",
 ]

@@ -26,7 +26,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.analysis.verification import verify_network
+from repro.analysis.verification import NetworkVerdict, verify_network
 from repro.core.errors import ReproError
 from repro.core.validity import is_valid
 from repro.network.repository import Repository
@@ -39,6 +39,18 @@ from repro.resilience.supervisor import Supervisor
 #: Identifier of the JSON report layout below.  v2 added the rollback
 #: knob and the per-trial/aggregate rollback counters.
 CHAOS_SCHEMA = "repro-chaos.v2"
+
+
+class UnverifiedModuleError(ReproError):
+    """Chaos was asked to run a module some client of which has no valid
+    plan; ``verdict`` is the verification that found it."""
+
+    def __init__(self, verdict: NetworkVerdict) -> None:
+        failing = ", ".join(client.location for client in verdict.clients
+                            if not client.verified)
+        super().__init__(f"chaos requires a verified module: no valid plan "
+                         f"for client(s) {failing}")
+        self.verdict = verdict
 
 
 @dataclass(frozen=True)
@@ -199,7 +211,8 @@ def run_chaos(clients, repository: Repository, *,
 
     The module is verified first; chaos only makes sense from a valid
     plan (that is the hypothesis of the invariant), so an unverified
-    module raises :class:`ReproError` instead of producing a report.
+    module raises :class:`UnverifiedModuleError`, carrying the verdict,
+    instead of producing a report.
 
     *rollback* selects the supervisor's rollback-first recovery (a
     :class:`RollbackPolicy`, or ``True``/``False`` for the default
@@ -215,11 +228,7 @@ def run_chaos(clients, repository: Repository, *,
     else:
         verdict = verify_network(dict(clients), repository)
     if not verdict.verified:
-        failing = ", ".join(client.location for client in verdict.clients
-                            if not client.verified)
-        raise ReproError(
-            f"chaos requires a verified module: no valid plan for "
-            f"client(s) {failing}")
+        raise UnverifiedModuleError(verdict)
     plans = verdict.plan_vector()
     requests = module_requests(clients, repository)
     rng = random.Random(seed)

@@ -1,9 +1,14 @@
-"""A client that reuses the id of the broker's nested request.
+"""Request ids opened with more than one session body.
 
-The plan has one binding per request id, so binding 9 to the broker must
-also serve the broker's own ``open 9`` session, which only a hotel can.
-Every occurrence of a request id is checked against the binding, and the
-explanation blames the request, not security.
+In ``request_id_reuse.sus`` a client reuses the id of the broker's
+nested request.  The plan has one binding per request id, so binding 9
+to the broker must also serve the broker's own ``open 9`` session, which
+only a hotel can.  Every occurrence of a request id is checked against
+the binding, and the explanation blames the request, not security.
+
+In ``request_id_two_bodies.sus`` a binding of the reused id fails in the
+plans that reach its second body and holds in the one plan that does
+not; the planner's pruning must not carry the failure across plans.
 """
 
 import json
@@ -15,8 +20,9 @@ from repro.analysis.planner import analyze_plan, find_valid_plans
 from repro.cli import load_module, main
 from repro.core.plans import Plan
 
-FIXTURE = str(pathlib.Path(__file__).resolve().parent / "fixtures"
-              / "request_id_reuse.sus")
+FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
+FIXTURE = str(FIXTURES / "request_id_reuse.sus")
+TWO_BODIES = str(FIXTURES / "request_id_two_bodies.sus")
 
 
 @pytest.fixture(scope="module")
@@ -57,3 +63,26 @@ class TestCli:
         assert core[0]["compliant"] == []
         assert [r["location"] for r in core[0]["refusals"]] == [
             "lbr", "ls1", "ls2"]
+
+
+def partition(result):
+    return (frozenset(a.plan for a in result.valid_plans),
+            frozenset(a.plan for a in result.invalid_plans))
+
+
+class TestTwoBodies:
+    def test_pruning_keeps_the_valid_plan(self):
+        module = load_module(TWO_BODIES)
+        client = module.clients["lc"]
+        baseline = find_valid_plans(client, module.repository,
+                                    location="lc", memoize=False,
+                                    prune=False)
+        pruned = find_valid_plans(client, module.repository, location="lc")
+        assert partition(pruned) == partition(baseline)
+        assert [str(a.plan) for a in pruned.valid_plans] == [
+            "1[sB] ∪ 2[sX]"]
+
+    def test_verify_accepts_with_that_plan(self, capsys):
+        assert main(["verify", TWO_BODIES]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "lc: plan 1[sB] ∪ 2[sX] is VALID")

@@ -22,9 +22,13 @@ from workloads import (almost_compliant_server, chain_client,  # noqa: E402
 from repro.core.compliance import (check_compliance,  # noqa: E402
                                    compliant_coinductive)
 from repro.analysis.planner import find_valid_plans  # noqa: E402
+from repro.cli import load_module  # noqa: E402
 from repro.contracts.contract import Contract  # noqa: E402
 from repro.contracts.product import build_product  # noqa: E402
 from repro.paper import figure2  # noqa: E402
+
+TWO_BODIES = (pathlib.Path(__file__).resolve().parents[1] / "analysis"
+              / "fixtures" / "request_id_two_bodies.sus")
 
 SEED = 0x5EC0DE
 ROUNDS = 30
@@ -72,6 +76,13 @@ def partition(result):
             frozenset(a.plan for a in result.invalid_plans))
 
 
+def assert_partition_is_preserved(client, repo, location):
+    baseline = find_valid_plans(client, repo, location=location,
+                                memoize=False, prune=False)
+    memoized = find_valid_plans(client, repo, location=location)
+    assert partition(memoized) == partition(baseline)
+
+
 class TestMemoizedPlannerPartition:
     """Memoisation and pruning must not change which plans are valid —
     only how much work deciding that takes."""
@@ -81,12 +92,13 @@ class TestMemoizedPlannerPartition:
         (figure2.client_2, figure2.LOC_CLIENT_2),
     ], ids=["c1", "c2"])
     def test_figure2_partition_is_preserved(self, client_fn, location):
-        repo = figure2.repository()
-        client = client_fn()
-        baseline = find_valid_plans(client, repo, location=location,
-                                    memoize=False, prune=False)
-        memoized = find_valid_plans(client, repo, location=location)
-        assert partition(memoized) == partition(baseline)
+        assert_partition_is_preserved(client_fn(), figure2.repository(),
+                                      location)
+
+    def test_request_id_two_bodies_partition_is_preserved(self):
+        module = load_module(TWO_BODIES)
+        assert_partition_is_preserved(module.clients["lc"],
+                                      module.repository, "lc")
 
     def test_random_worker_pools_preserve_partition(self):
         rng = random.Random(SEED)

@@ -1,11 +1,13 @@
 """Tests for the ``chaos`` CLI subcommand."""
 
 import json
+import pathlib
 
 import pytest
 
 from repro.cli import main
 
+ROOT = pathlib.Path(__file__).resolve().parents[2]
 HOTEL_SUS = "examples/hotel_booking.sus"
 
 UNVERIFIABLE = """
@@ -78,3 +80,24 @@ class TestChaosCommand:
     def test_missing_file_is_usage_error(self, capsys):
         status = main(["chaos", "no/such/file.sus"])
         assert status == 2
+
+
+class TestChaosGoldens:
+    """The seeded runs the CI ``chaos`` job compares with the goldens.
+    Paths are relative to the repository root, as the JSON ``module``
+    field records the path as given."""
+
+    @pytest.mark.parametrize("argv,golden,status", [
+        (["examples/hotel_booking.sus", "--seed", "7", "--trials", "10",
+          "--format", "json"], "hotel_booking.sus.chaos.json", 0),
+        (["examples/resilient_booking.sus", "--seed", "7", "--trials", "8",
+          "--format", "json"], "resilient_booking.sus.chaos.json", 0),
+        (["examples/broken_booking.sus"], "broken_booking.sus.chaos.txt", 1),
+    ], ids=["hotel", "resilient", "broken"])
+    def test_output_matches_the_golden(self, argv, golden, status,
+                                       monkeypatch, capsys):
+        monkeypatch.chdir(ROOT)
+        assert main(["chaos", *argv]) == status
+        expected = (ROOT / "examples" / "golden" / golden).read_text(
+            encoding="utf-8")
+        assert capsys.readouterr().out == expected
