@@ -9,7 +9,8 @@ process and records their ratio:
 
 * **S1** — product-automaton emptiness: every compliance decider
   (``onthefly`` = ``search_product``, ``eager`` = ``build_product``,
-  ``gfp`` = the ``certify_compliance`` fixpoint, ``compiled`` =
+  ``gfp`` = ``certify_compliance``, the exhaustive product BFS (the key
+  keeps its old name), ``compiled`` =
   ``compiled_search`` over interned tables) called directly and timed
   *warm* on the same cases, with the table-lowering time of the
   compiled search reported separately and verdict agreement asserted
@@ -139,8 +140,8 @@ def _median(values: list[float]) -> float:
 
 def _s1_deciders(client_c, server_c, compiled_client, compiled_server):
     """Each S1 decider as a zero-argument call on one prepared pair.
-    The eager call includes the emptiness check; the gfp certifier is
-    unwrapped of its result memo so repeats time the solve."""
+    The eager call includes the emptiness check; the certifier is
+    unwrapped of its result memo so repeats time its exhaustive BFS."""
     from repro.compiled.search import compiled_search
     from repro.contracts.product import (DEFAULT_STATE_LIMIT,
                                          build_product, search_product)

@@ -69,10 +69,10 @@ def _stuck_reason(client_state: HistoryExpression,
         return ("reason: both participants wait for input — a deadlock "
                 "(condition (i) of Definition 5 fails).")
     unmatched = []
-    for action in client_outputs:
+    for action in sorted(client_outputs, key=str):
         if not any(_co_in(action, s) for s in server_sets):
             unmatched.append(f"client output {action}")
-    for action in server_outputs:
+    for action in sorted(server_outputs, key=str):
         if not any(_co_in(action, s) for s in client_sets):
             unmatched.append(f"server output {action}")
     if unmatched:

@@ -20,9 +20,9 @@ table also precomputes the co-action id per label (``co(ā) = a``), which
 is how synchronisation pairing becomes an int-keyed dict lookup.
 
 Move orders are preserved exactly as the interpreted product search
-enumerates them — ``labels_from``/``successors`` frozenset iteration
-order — so the compiled BFS discovers states in the same order and
-reconstructs identical witnesses.
+enumerates them — ``labels_from``/``successors`` order, which is the
+LTS's move order — so the compiled BFS discovers states in the same
+order and reconstructs identical witnesses.
 
 Everything is memoised per term and registered with the
 ``clear_contract_caches`` cascade; compilation emits ``compile.*``
@@ -206,7 +206,7 @@ def _compile_tables(term: HistoryExpression) -> CompiledContract:
         in_mask = 0
         state_moves: list[tuple[int, tuple[int, ...]]] = []
         label_index: dict[int, tuple[int, ...]] = {}
-        # labels_from / successors iteration order is exactly what the
+        # labels_from / successors move order is exactly what the
         # interpreted synchronisations() enumerates — keep it.
         for label in lts.labels_from(state):
             output = is_output(label)

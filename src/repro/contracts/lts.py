@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Generic, Hashable, Iterable, TypeVar
+from typing import Callable, Generic, Hashable, Iterable, KeysView, TypeVar
 
 from repro.core.errors import StateSpaceLimitError
 
@@ -59,31 +59,26 @@ class LTS(Generic[State, LabelT]):
         return self.transitions[state]
 
     @cached_property
-    def _adjacency(self) -> dict[State, dict[LabelT, frozenset[State]]]:
-        """Label-indexed adjacency: state → label → successor set.
+    def _adjacency(self) -> dict[State, dict[LabelT, KeysView[State]]]:
+        """Label-indexed adjacency: state → label → successors.
 
-        Built once on first use; the hot paths (:meth:`labels_from`,
-        :meth:`successors`) answer from it in O(1) instead of re-scanning
-        the move list and allocating a fresh ``frozenset`` per call.
+        Built once on first use.  Labels and successors keep the order
+        of the move list (first occurrence, no duplicates), so every
+        search over them visits states in the same order whatever the
+        hash seed.
         """
-        index: dict[State, dict[LabelT, frozenset[State]]] = {}
+        index: dict[State, dict[LabelT, KeysView[State]]] = {}
         for state, moves in self.transitions.items():
-            by_label: dict[LabelT, set[State]] = {}
+            by_label: dict[LabelT, dict[State, None]] = {}
             for label, target in moves:
-                by_label.setdefault(label, set()).add(target)
-            index[state] = {label: frozenset(targets)
+                by_label.setdefault(label, {})[target] = None
+            index[state] = {label: targets.keys()
                             for label, targets in by_label.items()}
         return index
 
-    @cached_property
-    def _enabled(self) -> dict[State, frozenset[LabelT]]:
-        """Cached ``labels_from`` answers, one frozenset per state."""
-        return {state: frozenset(by_label)
-                for state, by_label in self._adjacency.items()}
-
-    def labels_from(self, state: State) -> frozenset[LabelT]:
-        """Labels enabled in *state*."""
-        return self._enabled[state]
+    def labels_from(self, state: State) -> KeysView[LabelT]:
+        """Labels enabled in *state*, in move order (a set-like view)."""
+        return self._adjacency[state].keys()
 
     def alphabet(self) -> frozenset[LabelT]:
         """All labels occurring on any transition."""
@@ -96,10 +91,11 @@ class LTS(Generic[State, LabelT]):
         return frozenset(state for state, moves in self.transitions.items()
                          if not moves)
 
-    _NO_SUCCESSORS = frozenset()  # ClassVar; unannotated so not a field
+    _NO_SUCCESSORS = {}.keys()  # ClassVar; unannotated so not a field
 
-    def successors(self, state: State, label: LabelT) -> frozenset[State]:
-        """States reachable from *state* by one *label* transition."""
+    def successors(self, state: State, label: LabelT) -> KeysView[State]:
+        """States reachable from *state* by one *label* transition, in
+        move order (a set-like view)."""
         return self._adjacency[state].get(label, self._NO_SUCCESSORS)
 
     # -- reachability -------------------------------------------------------

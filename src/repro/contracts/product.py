@@ -21,12 +21,14 @@ Two constructions are provided:
   the paper's construction literally reads — for callers that need the
   state space itself, and as the oracle the differential tests check
   :func:`search_product` against;
-* :func:`search_product` explores the *implicit* product on the fly and
-  stops at the first reachable final state, reconstructing the shortest
-  counterexample from its BFS parent map.  Because compliance is a safety
-  property (Theorem 2), the verdict is decided the moment the first stuck
-  pair is reached — non-compliance costs O(states within the
-  counterexample radius), not O(full product).
+* :func:`explore_product` explores the *implicit* product on the fly,
+  breadth first and in the component LTSs' move order, and rebuilds the
+  shortest counterexample from its parent pointers.  Because compliance
+  is a safety property (Theorem 2), :func:`search_product` stops at the
+  first reachable stuck pair — non-compliance costs O(states within the
+  counterexample radius), not O(full product); the compliance
+  certificate of :mod:`repro.staticcheck.compliance` runs the same BFS
+  to the end, to report the size of the candidate relation.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ def synchronisations(client_lts: LTS, server_lts: LTS, state: PairState):
     """The product moves out of *state*: every pairing of a communication
     of one side with its co-action on the other (both directions are
     covered because each synchronisation appears once as an output and
-    once as an input)."""
+    once as an input), in the component LTSs' move order."""
     h1, h2 = state
     for label in client_lts.labels_from(h1):
         if not (is_output(label) or is_input(label)):
@@ -130,14 +132,14 @@ class ProductAutomaton:
 
 @dataclass(frozen=True)
 class ProductSearch:
-    """Outcome of the on-the-fly emptiness check (:func:`search_product`).
+    """Outcome of the on-the-fly product BFS (:func:`explore_product`).
 
     ``empty`` is the Theorem 1 verdict; on failure ``trace`` is a shortest
     sequence of product states from the initial one to the stuck witness
     (its last element).  ``explored`` counts the distinct product states
-    materialised — the regression the benchmarks track: for non-compliant
-    pairs it stays within the BFS radius of the counterexample instead of
-    the full product size.
+    discovered — the regression the benchmarks track: when
+    :func:`search_product` refuses a pair it stays within the BFS radius
+    of the counterexample instead of the full product size.
     """
 
     empty: bool
@@ -154,17 +156,16 @@ def search_product(client: Contract, server: Contract,
                    max_states: int = DEFAULT_STATE_LIMIT) -> ProductSearch:
     """Decide ``L(client ⊗ server) = ∅`` without building the automaton.
 
-    BFS over the implicit product; every state is checked against the
-    Definition 5 final-state condition *when first discovered*, so the
-    search short-circuits at the first reachable stuck pair — at minimal
-    synchronisation depth, which keeps the returned counterexample
-    shortest, exactly like :meth:`ProductAutomaton.counterexample`.
+    The BFS of :func:`explore_product`, stopped at the first reachable
+    stuck pair — at minimal synchronisation depth, which keeps the
+    returned counterexample shortest, exactly like
+    :meth:`ProductAutomaton.counterexample`.
     """
     tel = _telemetry.active()
     if tel is None:
-        return _search(client, server, max_states)
+        return explore_product(client, server, max_states)
     with tel.tracer.span("compliance.search_product") as span:
-        result = _search(client, server, max_states)
+        result = explore_product(client, server, max_states)
         depth = None if result.trace is None else len(result.trace) - 1
         span.set(empty=result.empty, explored=result.explored,
                  counterexample_depth=depth)
@@ -183,38 +184,60 @@ def search_product(client: Contract, server: Contract,
         return result
 
 
-def _search(client: Contract, server: Contract,
-            max_states: int) -> ProductSearch:
-    """The uninstrumented BFS behind :func:`search_product`."""
+def explore_product(client: Contract, server: Contract,
+                    max_states: int = DEFAULT_STATE_LIMIT, *,
+                    exhaustive: bool = False) -> ProductSearch:
+    """The uninstrumented product BFS.
+
+    Pairs are visited breadth first, successors in the order of
+    :func:`synchronisations`, and each pair is checked against the
+    Definition 5 final-state condition when first discovered.  Stuck
+    pairs are absorbing: Definition 5 cuts their transitions.  The
+    search stops at the first stuck pair unless *exhaustive*, in which
+    case it explores every pair reachable from the initial one, so
+    ``explored`` is the size of that candidate relation; the trace still
+    leads to the first stuck pair found.
+    """
     client_lts = client.lts
     server_lts = server.lts
     initial: PairState = (client.term, server.term)
 
+    # Parent pointers; their keys are the pairs discovered so far.
+    parents: dict[PairState, PairState | None] = {initial: None}
     if is_stuck(client_lts, server_lts, initial):
-        return ProductSearch(False, (initial,), explored=1)
-
-    parents: dict[PairState, PairState] = {}
-    seen: set[PairState] = {initial}
+        return _outcome(parents, initial)
+    stuck: PairState | None = None
     frontier: deque[PairState] = deque([initial])
     while frontier:
         state = frontier.popleft()
         for successor in synchronisations(client_lts, server_lts, state):
-            if successor in seen:
+            if successor in parents:
                 continue
-            if len(seen) >= max_states:
+            if len(parents) >= max_states:
                 raise StateSpaceLimitError(max_states)
-            seen.add(successor)
             parents[successor] = state
-            if is_stuck(client_lts, server_lts, successor):
-                trace = [successor]
-                node = successor
-                while node != initial:
-                    node = parents[node]
-                    trace.append(node)
-                trace.reverse()
-                return ProductSearch(False, tuple(trace), len(seen))
-            frontier.append(successor)
-    return ProductSearch(True, None, len(seen))
+            if not is_stuck(client_lts, server_lts, successor):
+                frontier.append(successor)
+            elif stuck is None:
+                stuck = successor
+                if not exhaustive:
+                    return _outcome(parents, stuck)
+    return _outcome(parents, stuck)
+
+
+def _outcome(parents: dict[PairState, PairState | None],
+             stuck: PairState | None) -> ProductSearch:
+    """The verdict, with the parent chain from the initial pair to
+    *stuck* as the counterexample."""
+    if stuck is None:
+        return ProductSearch(True, None, len(parents))
+    trace: list[PairState] = []
+    node: PairState | None = stuck
+    while node is not None:
+        trace.append(node)
+        node = parents[node]
+    trace.reverse()
+    return ProductSearch(False, tuple(trace), len(parents))
 
 
 def build_product(client: Contract, server: Contract) -> ProductAutomaton:

@@ -14,7 +14,7 @@ relates them:
 Note the asymmetry: the client may terminate and walk away, leaving the
 server mid-protocol, but never the other way around.
 
-Three independent deciders are provided:
+Two independent deciders and a certifier are provided:
 
 * :func:`compliant_coinductive` implements the definition literally, via
   ready sets over the synchronised reachable pairs;
@@ -22,17 +22,19 @@ Three independent deciders are provided:
   the product of Definition 5 (Theorem 1) **on the fly**: because
   compliance is a safety property (Theorem 2), the BFS short-circuits at
   the first reachable stuck pair, never materialising the full product;
-* :func:`repro.staticcheck.compliance.certify_compliance` re-derives the
-  relation as the largest fixpoint on the ready-set product, producing a
-  stuck-configuration witness with the refusing ready sets on failure.
+* :func:`repro.staticcheck.compliance.certify_compliance` runs the same
+  product BFS to the end, so it also measures the whole candidate
+  relation, and returns a stuck-configuration witness with the refusing
+  ready sets on failure.
 
-:func:`check_compliance` is the one production decider.  The others,
-together with the explicit automaton of
+:func:`check_compliance` is the one production decider.
+:func:`compliant_coinductive`, the explicit automaton of
 :func:`repro.contracts.product.build_product` and the compiled search of
-:func:`repro.compiled.search.compiled_search`, are the oracles the test
-suite checks it against on randomly generated contracts — a machine
-check of Theorems 1 and 2.  The weaker checkpoint/rollback relation is
-decided separately, by :func:`repro.core.reversible.check_reversible`.
+:func:`repro.compiled.search.compiled_search` are the independent
+oracles the test suite checks it against on randomly generated
+contracts — a machine check of Theorems 1 and 2.  The weaker
+checkpoint/rollback relation is decided separately, by
+:func:`repro.core.reversible.check_reversible`.
 """
 
 from __future__ import annotations

@@ -73,8 +73,8 @@ REVERSIBLE_CACHE_SIZE = 1024
 def sync_moves(client_lts: LTS, server_lts: LTS, pair: PairState
                ) -> dict[object, tuple[PairState, ...]]:
     """The synchronisation moves out of *pair*, grouped by the client's
-    label: ``label -> successor pairs``, labels and successors in
-    canonical (repr-sorted) order.
+    label: ``label -> successor pairs``, labels and successors in the
+    component LTSs' move order.
 
     Both directions are covered because every synchronisation appears
     once as the client's output and once as the client's input; the
@@ -87,14 +87,12 @@ def sync_moves(client_lts: LTS, server_lts: LTS, pair: PairState
         if not (is_output(label) or is_input(label)):
             continue
         partner = co(label)
-        successors = tuple(sorted(
-            ((h1_next, h2_next)
-             for h1_next in client_lts.successors(h1, label)
-             for h2_next in server_lts.successors(h2, partner)),
-            key=repr))
+        successors = tuple((h1_next, h2_next)
+                           for h1_next in client_lts.successors(h1, label)
+                           for h2_next in server_lts.successors(h2, partner))
         if successors:
             moves[label] = successors
-    return dict(sorted(moves.items(), key=lambda item: repr(item[0])))
+    return moves
 
 
 # -- the operational layer ---------------------------------------------------
@@ -145,7 +143,7 @@ class ReversibleSession:
         return is_terminated(self.pair[0])
 
     def enabled(self) -> tuple[object, ...]:
-        """The labels the session may synchronise on next, in canonical
+        """The labels the session may synchronise on next, in move
         order, honouring a post-rollback restriction."""
         labels = tuple(sync_moves(self._client_lts, self._server_lts,
                                   self.pair))
@@ -155,8 +153,8 @@ class ReversibleSession:
 
     def sync(self, label) -> PairState:
         """Take one synchronisation on *label*, checkpointing the choice
-        when alternatives remain (the canonical least successor resolves
-        the adversary's nondeterminism deterministically)."""
+        when alternatives remain (the first successor in move order
+        resolves the adversary's nondeterminism deterministically)."""
         moves = sync_moves(self._client_lts, self._server_lts, self.pair)
         alternatives = self.enabled()
         if label not in alternatives:
@@ -199,8 +197,8 @@ class ReversibleSession:
     def run(self, max_steps: int = 10_000, chooser=None) -> str:
         """Drive the session greedily with rollback-on-stuck.
 
-        *chooser* picks among the enabled labels (default: the canonical
-        first).  Returns ``"completed"`` (client terminated),
+        *chooser* picks among the enabled labels (default: the first).
+        Returns ``"completed"`` (client terminated),
         ``"exhausted"`` (stuck with every checkpoint tried — on acyclic
         pair graphs this is exactly non-reversible-compliance) or
         ``"budget"``.
@@ -293,7 +291,7 @@ class ReversibleResult:
     ``explored_states`` counts the synchronisation-reachable pairs the
     lfp ran over; on failure ``witness`` is the adversary strategy and
     ``trace`` one demonic play from the initial pair to a rank-0 pair
-    (the canonical least label at every step).
+    (the first answered label at every step).
     """
 
     compliant: bool
@@ -417,14 +415,11 @@ def _build_witness(client_term, server_term, initial,
                    doomed: dict[PairState, int],
                    strategy: dict[PairState, dict[object, PairState]]
                    ) -> ReversibleWitness:
-    ranks = tuple(sorted(doomed.items(),
-                         key=lambda item: (item[1], repr(item[0]))))
-    frozen_strategy = tuple(
-        (pair, tuple(sorted(answers.items(),
-                            key=lambda item: repr(item[0]))))
-        for pair, answers in sorted(strategy.items(),
-                                    key=lambda item: repr(item[0]))
-        if answers)
+    # Both dicts were filled rank by rank, in exploration order.
+    ranks = tuple(doomed.items())
+    frozen_strategy = tuple((pair, tuple(answers.items()))
+                            for pair, answers in strategy.items()
+                            if answers)
     return ReversibleWitness(client=client_term, server=server_term,
                              initial=initial, ranks=ranks,
                              strategy=frozen_strategy)
@@ -434,15 +429,13 @@ def _demonic_play(initial: PairState, doomed: dict[PairState, int],
                   strategy: dict[PairState, dict[object, PairState]]
                   ) -> tuple[PairState, ...]:
     """One play following the adversary strategy from the initial pair
-    down to a rank-0 pair: the system plays the canonical least label,
+    down to a rank-0 pair: the system plays the first answered label,
     the adversary answers from the strategy.  Rank strictly decreases,
     so the play is finite and ends genuinely stuck."""
     play = [initial]
     current = initial
     while doomed[current] > 0:
-        answers = strategy[current]
-        label = min(answers, key=repr)
-        current = answers[label]
+        current = next(iter(strategy[current].values()))
         play.append(current)
     return tuple(play)
 

@@ -157,8 +157,8 @@ class HistoryExpression(metaclass=_Interned):
             for name in self.__match_args__)
 
     def __repr__(self) -> str:
-        # The dataclass repr's text (it orders pairs and witnesses, so it
-        # must not change), built without recursion so deep terms print.
+        # The dataclass repr's text, built without recursion so deep
+        # terms print.  It is for people: no decider orders by it.
         out: list[str] = []
         todo: list = [self]
         pop, push = todo.pop, todo.append

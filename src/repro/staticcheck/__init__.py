@@ -1,7 +1,7 @@
 """Whole-network abstract interpretation (static certification layer).
 
-A generic worklist fixpoint solver over finite lattices
-(:mod:`~repro.staticcheck.solver`) and four analyses layered on it:
+Four analyses, the label analysis over a generic worklist fixpoint
+solver (:mod:`~repro.staticcheck.solver`):
 
 ====================  ====================================================
 analysis              certifies
@@ -10,8 +10,8 @@ label analysis        may/must label sets of a history expression
 static validity       ``|= η`` for all runs, with a replayable
                       :class:`~repro.staticcheck.witness.ValidityWitness`
                       on failure
-compliance (gfp)      ``H1 ⊢ H2`` as a greatest fixpoint on the ready-set
-                      product, with a
+compliance            ``H1 ⊢ H2`` over the whole reachable ready-set
+                      product (one exhaustive product BFS), with a
                       :class:`~repro.staticcheck.witness.StuckWitness` on
                       refusal
 plan explanation      a minimal unsatisfiable core of (request,
@@ -35,8 +35,7 @@ from __future__ import annotations
 
 from repro.observability.cache_stats import reset_cache_stats
 from repro.contracts.contract import register_cache_clearer
-from repro.staticcheck.solver import (BoolLattice, Equation,
-                                      FixpointSolution, Lattice,
+from repro.staticcheck.solver import (Equation, FixpointSolution, Lattice,
                                       PowersetLattice, solve)
 from repro.staticcheck.labels import (LabelAnalysis, analyse_labels,
                                       may_diverge, syntactic_alphabet)
@@ -74,7 +73,6 @@ register_cache_clearer(clear_staticcheck_caches)
 
 __all__ = [
     "BindingRefusal",
-    "BoolLattice",
     "ClientPlanReport",
     "ComplianceCertificate",
     "CoreConstraint",

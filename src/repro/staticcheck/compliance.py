@@ -1,43 +1,38 @@
-"""Compliance certification as a greatest fixpoint with stuck witnesses.
+"""Compliance certification with stuck witnesses.
 
 Definition 4 presents ``H1 ⊢ H2`` coinductively: the *largest* relation
 whose pairs satisfy the ready-set condition and are closed under
-synchronisation.  This module re-derives that relation through the
-worklist solver by the standard complement trick: over the candidate
-relation (the pairs reachable from ``⟨H1!, H2!⟩`` by synchronisations,
-computed with :func:`repro.contracts.product.synchronisations`), solve
-the *least* fixpoint of
-
-    ``removed(p)  =  ¬ready_condition(p)  ∨  ∃ p→p'. removed(p')``
-
-on the two-point lattice; the greatest fixpoint of Definition 4 is the
-complement, so ``H1 ⊢ H2`` iff the initial pair is not removed.
-Following Definition 5, refusing pairs are absorbing (their
-synchronisations are cut), which keeps the candidate relation the same
-one :func:`repro.core.compliance.compliant_coinductive` explores.
+synchronisation.  On a finite product that greatest fixpoint needs no
+solve: the candidate relation is the set of pairs reachable from
+``⟨H1!, H2!⟩`` by synchronisations, with refusing pairs absorbing as in
+Definition 5, and ``H1 ⊢ H2`` holds iff no refusing pair is in it.  So
+the certificate is the product BFS of
+:func:`repro.contracts.product.explore_product`, run to the end rather
+than stopped at the first stuck pair: its ``pairs`` is the size of the
+whole candidate relation, which only a full exploration knows.  On
+contract states the BFS's stuck check (Definition 5) holds exactly when
+the ready-set condition of Definition 4 fails.
 
 On refusal the certificate carries a
-:class:`~repro.staticcheck.witness.StuckWitness`: a shortest
-synchronisation path into the nearest refusing pair plus the ready sets
-that fail to match (Definition 3/4), replayable against the concrete
-contract transition systems.
+:class:`~repro.staticcheck.witness.StuckWitness`: the shortest
+synchronisation path into the first refusing pair the BFS met (the one
+:func:`repro.core.compliance.check_compliance` reports) plus the ready
+sets that fail to match (Definition 3/4), replayable against the
+concrete contract transition systems.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
-from repro.core.errors import StateSpaceLimitError
 from repro.core.ready_sets import ready_sets, unmatched_pairs
 from repro.core.syntax import HistoryExpression
 from repro.contracts.contract import Contract
 from repro.contracts.lts import DEFAULT_STATE_LIMIT
-from repro.contracts.product import PairState, synchronisations
+from repro.contracts.product import explore_product
 from repro.observability import runtime as _telemetry
 from repro.observability.cache_stats import track_cache
-from repro.staticcheck.solver import BoolLattice, Equation, solve
 from repro.staticcheck.witness import StuckWitness
 
 #: Entries kept in the certification memo table (see
@@ -47,18 +42,16 @@ COMPLIANCE_CACHE_SIZE = 1024
 
 @dataclass(frozen=True)
 class ComplianceCertificate:
-    """Outcome of the fixpoint compliance certification.
+    """Outcome of the compliance certification.
 
     ``pairs`` is the size of the candidate relation (reachable product
-    pairs) and ``iterations`` the number of fixpoint steps the removal
-    system took; on refusal ``witness`` explains the stuck configuration
-    with the ready sets that fail to match.
+    pairs, refusing ones included); on refusal ``witness`` explains the
+    stuck configuration with the ready sets that fail to match.
     """
 
     compliant: bool
     witness: StuckWitness | None
     pairs: int
-    iterations: int
 
     def __bool__(self) -> bool:
         return self.compliant
@@ -68,8 +61,8 @@ def certify_compliance(client: HistoryExpression | Contract,
                        server: HistoryExpression | Contract, *,
                        max_states: int = DEFAULT_STATE_LIMIT
                        ) -> ComplianceCertificate:
-    """Certify ``client ⊢ server`` (Definition 4) as a greatest fixpoint,
-    with a stuck-configuration witness on refusal.
+    """Certify ``client ⊢ server`` (Definition 4) over the whole
+    candidate relation, with a stuck-configuration witness on refusal.
 
     Memoised on the projected pair; the verdict provably agrees with the
     product-emptiness decider of :mod:`repro.core.compliance` (the test
@@ -82,8 +75,7 @@ def certify_compliance(client: HistoryExpression | Contract,
         return _certify(client_c.term, server_c.term, max_states)
     with tel.tracer.span("staticcheck.certify_compliance") as span:
         certificate = _certify(client_c.term, server_c.term, max_states)
-        span.set(compliant=certificate.compliant, pairs=certificate.pairs,
-                 iterations=certificate.iterations)
+        span.set(compliant=certificate.compliant, pairs=certificate.pairs)
         verdict = "compliant" if certificate.compliant else "witness"
         tel.metrics.counter("staticcheck.certifications",
                             analysis="compliance", verdict=verdict).inc()
@@ -98,78 +90,17 @@ def certify_compliance(client: HistoryExpression | Contract,
 @lru_cache(maxsize=COMPLIANCE_CACHE_SIZE)
 def _certify(client_term: HistoryExpression, server_term: HistoryExpression,
              max_states: int) -> ComplianceCertificate:
-    client = Contract(client_term, already_projected=True)
-    server = Contract(server_term, already_projected=True)
-    client_lts = client.lts
-    server_lts = server.lts
-    initial: PairState = (client_term, server_term)
-
-    # Candidate relation: pairs reachable by synchronisation, with
-    # refusing pairs absorbing.  Successors are explored in a canonical
-    # order so the (shortest) witness below is deterministic across
-    # processes whatever the hash seed.
-    successors: dict[PairState, tuple[PairState, ...]] = {}
-    refusing: dict[PairState, tuple] = {}
-    parents: dict[PairState, PairState] = {}
-    first_refusing: PairState | None = None
-    seen: set[PairState] = {initial}
-    frontier: deque[PairState] = deque([initial])
-    while frontier:
-        pair = frontier.popleft()
-        refusals = unmatched_pairs(*pair)
-        if refusals:
-            refusing[pair] = refusals
-            successors[pair] = ()
-            if first_refusing is None:
-                first_refusing = pair
-            continue
-        moves = set(synchronisations(client_lts, server_lts, pair))
-        if len(moves) > 1:
-            moves = sorted(moves, key=repr)
-        successors[pair] = tuple(moves)
-        for successor in moves:
-            if successor not in seen:
-                if len(seen) >= max_states:
-                    raise StateSpaceLimitError(max_states,
-                                               "ready-set product")
-                seen.add(successor)
-                parents[successor] = pair
-                frontier.append(successor)
-
-    equations = {
-        pair: Equation(pair, successors[pair],
-                       (lambda env, p=pair: _removed(p, refusing,
-                                                     successors, env)))
-        for pair in successors}
-    solution = solve(equations, BoolLattice())
-
-    if not solution[initial]:
-        return ComplianceCertificate(True, None, len(successors),
-                                     solution.iterations)
-
-    # The initial pair was removed, so some refusing pair is reachable;
-    # the BFS discovered the nearest one first.
-    assert first_refusing is not None
-    trace = [first_refusing]
-    node = first_refusing
-    while node != initial:
-        node = parents[node]
-        trace.append(node)
-    trace.reverse()
-    h1, h2 = first_refusing
-    witness = StuckWitness(trace=tuple(trace),
+    search = explore_product(Contract(client_term, already_projected=True),
+                             Contract(server_term, already_projected=True),
+                             max_states, exhaustive=True)
+    if search.empty:
+        return ComplianceCertificate(True, None, search.explored)
+    h1, h2 = search.witness
+    witness = StuckWitness(trace=search.trace,
                            client_ready=ready_sets(h1),
                            server_ready=ready_sets(h2),
-                           unmatched=refusing[first_refusing])
-    return ComplianceCertificate(False, witness, len(successors),
-                                 solution.iterations)
+                           unmatched=unmatched_pairs(h1, h2))
+    return ComplianceCertificate(False, witness, search.explored)
 
 
 track_cache("staticcheck.compliance", _certify)
-
-
-def _removed(pair: PairState, refusing: dict, successors: dict,
-             env) -> bool:
-    if pair in refusing:
-        return True
-    return any(env[successor] for successor in successors[pair])

@@ -10,8 +10,8 @@ trading precision for a guaranteed early exit on tall lattices.
 
 The lattice interface is deliberately tiny (``bottom``/``join``/``leq``
 plus an optional ``widen``); :class:`PowersetLattice` over a finite
-label universe and the two-point :class:`BoolLattice` cover everything
-the four client analyses need.
+label universe covers the one client, the label analysis of
+:mod:`repro.staticcheck.labels`.
 """
 
 from __future__ import annotations
@@ -76,24 +76,6 @@ class PowersetLattice(Lattice[frozenset]):
         if self.widen_height is not None and len(new) > self.widen_height:
             return self.universe
         return new
-
-
-class BoolLattice(Lattice[bool]):
-    """The two-point lattice ``False ⊑ True``.
-
-    Used to run *greatest*-fixpoint arguments through the least-fixpoint
-    solver: encode "removed from the candidate relation" as ``True`` and
-    the gfp is the complement of the computed lfp.
-    """
-
-    def bottom(self) -> bool:
-        return False
-
-    def join(self, left: bool, right: bool) -> bool:
-        return left or right
-
-    def leq(self, left: bool, right: bool) -> bool:
-        return (not left) or right
 
 
 @dataclass(frozen=True)

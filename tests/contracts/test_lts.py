@@ -42,6 +42,35 @@ class TestBuild:
         assert lts.successors(0, "a") == {1}
 
 
+class TestMoveOrder:
+    """``labels_from`` and ``successors`` keep the move list's order:
+    first occurrence, no duplicates.  They still compare equal to sets."""
+
+    @staticmethod
+    def lts():
+        moves = [("b", 2), ("a", 1), ("b", 1), ("b", 2), ("a", 1)]
+        return build_lts(0, lambda s: moves if s == 0 else [])
+
+    def test_labels_in_move_order(self):
+        labels = self.lts().labels_from(0)
+        assert list(labels) == ["b", "a"]
+        assert labels == {"a", "b"}
+        assert labels == frozenset({"a", "b"})
+
+    def test_successors_in_move_order(self):
+        lts = self.lts()
+        assert list(lts.successors(0, "b")) == [2, 1]
+        assert list(lts.successors(0, "a")) == [1]
+        assert lts.successors(0, "b") == {1, 2}
+        assert 2 in lts.successors(0, "b")
+
+    def test_no_moves_is_empty(self):
+        lts = self.lts()
+        assert list(lts.labels_from(1)) == []
+        assert lts.successors(0, "c") == frozenset()
+        assert lts.successors(1, "a") == set()
+
+
 class TestObservations:
     def test_alphabet(self):
         lts = build_lts(0, lambda s: [("x", 1), ("y", 1)] if s == 0 else [])

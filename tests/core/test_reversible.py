@@ -46,14 +46,19 @@ class TestSyncMoves:
         assert moves == {}
 
     def test_labels_and_successors_are_canonically_ordered(self):
+        # The client's move order, not the terms' repr order: `b` is
+        # offered before `a`, and on one label `!y` is reached before
+        # `!x`.
         client = Contract(internal(("b", EPSILON), ("a", EPSILON)))
         server = Contract(external(("a", EPSILON), ("b", EPSILON)))
         moves = sync_moves(client.lts, server.lts,
                            (client.term, server.term))
-        labels = list(moves)
-        assert labels == sorted(labels, key=repr)
-        for successors in moves.values():
-            assert list(successors) == sorted(successors, key=repr)
+        assert [str(label) for label in moves] == ["!b", "!a"]
+        client = Contract(internal(("a", send("y")), ("a", send("x"))))
+        server = Contract(external(("a", EPSILON)))
+        (successors,) = sync_moves(client.lts, server.lts,
+                                   (client.term, server.term)).values()
+        assert successors == ((send("y"), EPSILON), (send("x"), EPSILON))
 
 
 class TestDecider:

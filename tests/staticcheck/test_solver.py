@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.staticcheck.solver import (BoolLattice, Equation, PowersetLattice,
-                                      solve)
+from repro.staticcheck.solver import Equation, PowersetLattice, solve
 
 
 def reachability_system(edges, start):
@@ -52,15 +51,6 @@ class TestPowersetLattice:
             frozenset("abcd")
 
 
-class TestBoolLattice:
-    def test_two_point_order(self):
-        lattice = BoolLattice()
-        assert lattice.bottom() is False
-        assert lattice.join(False, True) is True
-        assert lattice.leq(False, True)
-        assert not lattice.leq(True, False)
-
-
 class TestSolve:
     def test_reachability_least_fixpoint(self):
         edges = [("s", "a"), ("a", "b"), ("b", "a"), ("c", "d")]
@@ -103,15 +93,3 @@ class TestSolve:
         equations, lattice = reachability_system(edges, 0)
         with pytest.raises(RuntimeError, match="did not stabilise"):
             solve(equations, lattice, max_iterations=10)
-
-    def test_bool_lattice_removal_argument(self):
-        # The gfp-as-complement encoding used by the compliance engine:
-        # x is "removed" iff its sole successor is.  Nothing seeds the
-        # removal, so the lfp keeps everything (all False).
-        lattice = BoolLattice()
-        equations = {
-            "x": Equation("x", ("y",), lambda env: env["y"]),
-            "y": Equation("y", ("x",), lambda env: env["x"]),
-        }
-        solution = solve(equations, lattice)
-        assert solution["x"] is False and solution["y"] is False
