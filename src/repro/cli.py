@@ -548,6 +548,19 @@ def _cmd_dot(args: argparse.Namespace) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    """The argparse type of every count option: an integer ``>= 0``."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must not be negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The argparse command tree (exposed for the tests)."""
     parser = argparse.ArgumentParser(
@@ -589,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
                          default="text",
                          help="output format: human text (default) or "
                               "deterministic JSON (repro-analyze.v1)")
-    analyze.add_argument("--max-plans", type=int, default=None,
+    analyze.add_argument("--max-plans", type=_count, default=None,
                          help="bound on the candidate plans per client")
     analyze.set_defaults(func=_cmd_analyze)
 
@@ -622,7 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="synthesise valid plans")
     verify.add_argument("network")
-    verify.add_argument("--max-plans", type=int, default=None)
+    verify.add_argument("--max-plans", type=_count, default=None)
     verify.set_defaults(func=_cmd_verify)
 
     compliance = sub.add_parser("compliance",
@@ -640,8 +653,8 @@ def build_parser() -> argparse.ArgumentParser:
                               help="verify, then run one computation")
     simulate.add_argument("network")
     simulate.add_argument("--seed", type=int, default=0)
-    simulate.add_argument("--max-steps", type=int, default=10_000)
-    simulate.add_argument("--max-plans", type=int, default=None)
+    simulate.add_argument("--max-steps", type=_count, default=10_000)
+    simulate.add_argument("--max-plans", type=_count, default=None)
     simulate.add_argument("--unmonitored", action="store_true")
     simulate.add_argument("--trace", action="store_true",
                           help="print the Figure-3-style step trace")
@@ -652,19 +665,19 @@ def build_parser() -> argparse.ArgumentParser:
                       "and check the resilience invariant")
     chaos.add_argument("network")
     chaos.add_argument("--seed", type=int, default=0)
-    chaos.add_argument("--trials", type=int, default=20)
+    chaos.add_argument("--trials", type=_count, default=20)
     chaos.add_argument("--faults", default="crash,drop,stall",
                        metavar="KINDS",
                        help="comma-separated fault kinds to inject "
                             "(crash, drop, stall, byzantine)")
-    chaos.add_argument("--max-faults", type=int, default=3,
+    chaos.add_argument("--max-faults", type=_count, default=3,
                        help="maximum faults sampled per trial")
-    chaos.add_argument("--max-steps", type=int, default=400,
+    chaos.add_argument("--max-steps", type=_count, default=400,
                        help="per-trial step budget")
     chaos.add_argument("--no-rollback", action="store_true",
                        help="disable rollback-first recovery (pure "
                             "compensate/replan, the pre-reversible ladder)")
-    chaos.add_argument("--max-rollbacks", type=int, default=8,
+    chaos.add_argument("--max-rollbacks", type=_count, default=8,
                        help="rollback attempts per recovery episode "
                             "(default: 8)")
     chaos.add_argument("--no-recover", action="store_true",
@@ -679,15 +692,15 @@ def build_parser() -> argparse.ArgumentParser:
                        "(layers, causal chains, flight recorder)")
     report.add_argument("network")
     report.add_argument("--seed", type=int, default=0)
-    report.add_argument("--trials", type=int, default=20)
+    report.add_argument("--trials", type=_count, default=20)
     report.add_argument("--faults", default="crash,drop,stall",
                         metavar="KINDS",
                         help="comma-separated fault kinds to inject")
-    report.add_argument("--max-faults", type=int, default=3)
-    report.add_argument("--max-steps", type=int, default=400)
+    report.add_argument("--max-faults", type=_count, default=3)
+    report.add_argument("--max-steps", type=_count, default=400)
     report.add_argument("--no-rollback", action="store_true",
                         help="disable rollback-first recovery")
-    report.add_argument("--max-rollbacks", type=int, default=8)
+    report.add_argument("--max-rollbacks", type=_count, default=8)
     report.add_argument("--format", choices=("text", "json"),
                         default="text")
     report.add_argument("--wall", action="store_true",
@@ -715,8 +728,8 @@ def build_parser() -> argparse.ArgumentParser:
                       "span tree (and write it as JSONL with --out)")
     trace.add_argument("network")
     trace.add_argument("--seed", type=int, default=0)
-    trace.add_argument("--max-steps", type=int, default=10_000)
-    trace.add_argument("--max-plans", type=int, default=None)
+    trace.add_argument("--max-steps", type=_count, default=10_000)
+    trace.add_argument("--max-plans", type=_count, default=None)
     trace.add_argument("--out", default=None,
                        help="write the spans as JSONL to this file")
     trace.set_defaults(func=_cmd_trace)

@@ -18,6 +18,13 @@ Two implementations are provided: the declarative :func:`is_valid`
 (literally the definition, quadratic) and the incremental
 :class:`ValidityMonitor`, which is also the run-time reference monitor
 that a *valid plan* lets you switch off.
+
+The network's angelic filter (:mod:`repro.network.semantics`) runs on the
+monitor each component carries, extended by the labels a move appends.
+:func:`is_valid` is the oracle it is checked against: the exhaustive
+explorer, the chaos harness's per-trial history check, the simulator's
+``all_histories_valid``/``violations`` and the property suites all call
+it, so a bug in the incremental filter cannot hide behind itself.
 """
 
 from __future__ import annotations

@@ -15,7 +15,10 @@ A :class:`Component` pairs a session tree with the execution history
 composition ``∥_i η_i, S_i`` of components.  All values are immutable and
 hashable, so configurations serve directly as states for exhaustive
 exploration.  Session trees store their hash at construction, as terms
-do, so keying a set or dict on a tree never re-walks it.
+do, so keying a set or dict on a tree never re-walks it.  A component
+likewise stores, outside equality, hash and repr, the validity monitor
+that has consumed its history, so the angelic filter of
+:mod:`repro.network.semantics` checks only the labels a move appends.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Iterator, Union
 
 from repro.core.semantics import is_terminated
 from repro.core.syntax import (FrameClosePending, HistoryExpression, Seq)
-from repro.core.validity import History
+from repro.core.validity import History, ValidityMonitor
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,11 +123,43 @@ class Component:
 
     history: History
     tree: SessionTree
+    #: The :class:`ValidityMonitor` that has consumed ``history``:
+    #: replayed on first :meth:`monitor` call, or handed over by the
+    #: move that produced the component.  Never extended in place.
+    _monitor: ValidityMonitor | None = field(default=None, init=False,
+                                             repr=False, compare=False)
 
     @staticmethod
     def client(location: str, term: HistoryExpression) -> "Component":
         """A fresh client ``ε, ℓ:H`` with the empty history."""
         return Component(History(), Leaf(location, term))
+
+    @staticmethod
+    def _carrying(history: History, tree: SessionTree,
+                  monitor: ValidityMonitor | None) -> "Component":
+        """``Component(history, tree)`` holding *monitor*, which must have
+        consumed exactly *history* (``None``: replay on first use)."""
+        component = Component(history, tree)
+        if monitor is not None:
+            object.__setattr__(component, "_monitor", monitor)
+        return component
+
+    def monitor(self) -> ValidityMonitor:
+        """The validity monitor that has consumed ``history``.
+
+        Shared with every component holding the same history, so callers
+        must :meth:`~ValidityMonitor.copy` it before extending it.
+        """
+        monitor = self._monitor
+        if monitor is None:
+            monitor = ValidityMonitor(self.history)
+            object.__setattr__(self, "_monitor", monitor)
+        return monitor
+
+    def with_tree(self, tree: SessionTree) -> "Component":
+        """``η, tree``: the same history on another session tree, sharing
+        this component's monitor."""
+        return Component._carrying(self.history, tree, self._monitor)
 
     def is_terminated(self) -> bool:
         """True iff the component has successfully finished."""

@@ -21,6 +21,11 @@ The *angelic* validity filter of the paper (transitions whose history
 extension would be invalid simply do not fire) can be switched off, which
 models a deployment running without a monitor; the planner uses the
 unfiltered semantics to certify that valid plans never need the filter.
+
+The filter is incremental: each component carries the
+:class:`~repro.core.validity.ValidityMonitor` that has consumed its
+history, and a move is checked by extending a copy of it with the labels
+the move appends, never by re-checking the whole history.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from repro.core.actions import (TAU, Event, FrameClose, FrameOpen,
 from repro.core.plans import Plan
 from repro.core.semantics import step
 from repro.core.syntax import InternalChoice
-from repro.core.validity import is_valid
+from repro.core.validity import ValidityMonitor
 from repro.network.config import (Component, Configuration, Leaf,
                                   SessionNode, SessionTree,
                                   pending_frame_closes)
@@ -221,19 +226,39 @@ class NetworkTransition:
                 f"[{self.rule} at {self.location or '?'}]")
 
 
+def _fireable(component: Component, plan: Plan, repository: Repository,
+              enforce_validity: bool, commit_outputs: bool
+              ) -> Iterator[tuple[TreeMove, ValidityMonitor | None]]:
+    """The fireable moves of *component*, each with the monitor the
+    component it leads to carries (``None``: replay on first use).
+
+    A move without appends shares the component's monitor.  Under the
+    filter, a move with appends fires iff a copy of that monitor,
+    extended by the appends, stays valid; the copy goes along.  The
+    component's own monitor is built only when a move needs it.
+    """
+    for move in tree_moves(component.tree, plan, repository,
+                           commit_outputs):
+        if not move.is_internal():
+            continue
+        if not move.appends:
+            yield move, component._monitor
+        elif not enforce_validity:
+            yield move, None
+        else:
+            extended = component.monitor().copy()
+            if all(extended.extend(label) for label in move.appends):
+                yield move, extended
+
+
 def component_moves(component: Component, plan: Plan,
                     repository: Repository,
                     enforce_validity: bool = True,
                     commit_outputs: bool = False) -> Iterator[TreeMove]:
     """The fireable moves of one component (offers pruned, validity filter
     optionally applied — the paper's angelic semantics)."""
-    for move in tree_moves(component.tree, plan, repository,
-                           commit_outputs):
-        if not move.is_internal():
-            continue
-        if enforce_validity and move.appends:
-            if not is_valid(component.history.extend(move.appends)):
-                continue
+    for move, _monitor in _fireable(component, plan, repository,
+                                    enforce_validity, commit_outputs):
         yield move
 
 
@@ -251,10 +276,12 @@ def network_transitions(configuration: Configuration, plans,
     (rule Net: any component may move)."""
     for index, component in enumerate(configuration.components):
         plan = plans[index] if not isinstance(plans, Plan) else plans
-        for move in component_moves(component, plan, repository,
-                                    enforce_validity, commit_outputs):
-            successor = configuration.replace(index,
-                                              apply_move(component, move))
+        for move, monitor in _fireable(component, plan, repository,
+                                       enforce_validity, commit_outputs):
+            history = (component.history.extend(move.appends)
+                       if move.appends else component.history)
+            moved = Component._carrying(history, move.tree, monitor)
+            successor = configuration.replace(index, moved)
             yield NetworkTransition(index, move.kind, move.label, successor,
                                     move.appends, move.location,
                                     move.channel)

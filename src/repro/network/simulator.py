@@ -351,11 +351,10 @@ class Simulator:
         """The (policy name, label) pair behind a security-stuck
         component: the first unfiltered move whose history extension a
         policy refuses."""
-        from repro.core.validity import ValidityMonitor
         from repro.network.semantics import component_moves
         for move in component_moves(component, plan, self.repository,
                                     enforce_validity=False):
-            monitor = ValidityMonitor(component.history)
+            monitor = component.monitor().copy()
             for label in move.appends:
                 if not monitor.can_extend(label):
                     blamed = monitor.blame(label)

@@ -262,7 +262,7 @@ class Supervisor:
                     lambda term: mutate_term(term, self._fault_rng))
                 if tree is not component.tree:
                     configuration = configuration.replace(
-                        index, Component(component.history, tree))
+                        index, component.with_tree(tree))
                     touched = True
             if touched:
                 self.simulator.configuration = configuration

@@ -1,8 +1,15 @@
 """Tests for the command-line driver."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
-from repro.cli import load_network, main
+from repro.cli import build_parser, load_network, main
+
+ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 NETWORK = """
 [policies.phi]
@@ -335,3 +342,37 @@ client me = open r { !job . ?done }
 service mute = ?job
 """)
         assert main(["explain", str(path), "me"]) == 1
+
+
+#: Every (subcommand, count option) pair.
+COUNT_OPTIONS = [
+    ("analyze", "--max-plans"), ("verify", "--max-plans"),
+    ("simulate", "--max-plans"), ("trace", "--max-plans"),
+    ("chaos", "--max-faults"), ("report", "--max-faults"),
+    ("chaos", "--trials"), ("report", "--trials"),
+    ("simulate", "--max-steps"), ("chaos", "--max-steps"),
+    ("report", "--max-steps"), ("trace", "--max-steps"),
+    ("chaos", "--max-rollbacks"), ("report", "--max-rollbacks"),
+]
+
+
+class TestCountOptions:
+    """Count options take integers >= 0: a negative one is a usage error
+    (exit 2, argparse's one-line message), never a traceback or a run
+    that silently does nothing."""
+
+    @pytest.mark.parametrize("command, option", COUNT_OPTIONS)
+    def test_negative_count_is_a_usage_error(self, command, option):
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.cli", command,
+             str(ROOT / "examples" / "hotel_booking.sus"), option, "-1"],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+        assert result.returncode == 2, result.stdout
+        assert f"error: argument {option}: " in result.stderr
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("command, option", COUNT_OPTIONS)
+    def test_zero_is_accepted(self, command, option):
+        args = build_parser().parse_args([command, "net.sus", option, "0"])
+        assert getattr(args, option[2:].replace("-", "_")) == 0

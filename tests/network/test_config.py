@@ -1,6 +1,6 @@
 """Tests for configurations, session trees and the Φ function."""
 
-from repro.core.actions import FrameClose
+from repro.core.actions import Event, FrameClose, FrameOpen
 from repro.core.syntax import (EPSILON, FrameClosePending, event, receive,
                                seq, send)
 from repro.core.validity import History
@@ -61,6 +61,38 @@ class TestStoredHash:
         assert Leaf("x", EPSILON) != Leaf("y", EPSILON)
         assert Leaf.__match_args__ == ("location", "term")
         assert SessionNode.__match_args__ == ("left", "right")
+
+
+class TestCarriedMonitor:
+    """A component keeps the validity monitor of its history outside
+    equality, hash and repr."""
+
+    def test_monitor_is_built_once_from_the_history(self):
+        component = Component(History([FrameOpen(PHI), Event("a")]),
+                              Leaf("loc", EPSILON))
+        monitor = component.monitor()
+        assert not monitor.valid
+        assert monitor.events == (Event("a"),)
+        assert monitor.active_policies() == {PHI: 1}
+        assert component.monitor() is monitor
+
+    def test_with_tree_keeps_history_and_monitor(self):
+        component = Component(History([Event("b")]), Leaf("loc", EPSILON))
+        monitor = component.monitor()
+        moved = component.with_tree(Leaf("loc", send("x")))
+        assert moved.history is component.history
+        assert moved.monitor() is monitor
+
+    def test_equality_hash_and_repr_ignore_the_monitor(self):
+        history = History([Event("b")])
+        plain = Component(history, Leaf("loc", EPSILON))
+        carrying = Component(history, Leaf("loc", EPSILON))
+        carrying.monitor()
+        assert plain == carrying
+        assert hash(plain) == hash(carrying) == hash((history, plain.tree))
+        assert repr(plain) == repr(carrying) == (
+            f"Component(history={history!r}, tree={plain.tree!r})")
+        assert Component.__match_args__ == ("history", "tree")
 
 
 class TestPhi:

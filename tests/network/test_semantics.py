@@ -5,7 +5,7 @@ from repro.core.actions import (Event, FrameClose, FrameOpen, TAU)
 from repro.core.plans import Plan
 from repro.core.syntax import (EPSILON, Framing, event, external, internal,
                                receive, request, send, seq)
-from repro.core.validity import History
+from repro.core.validity import History, ValidityMonitor
 from repro.network.config import (Component, Configuration, Leaf,
                                   SessionNode)
 from repro.network.repository import Repository
@@ -163,6 +163,39 @@ class TestCloseRule:
         # Tree is [me, [srv, inner]]: the outer close must wait.
         kinds = {m.kind for m in moves_of(component, plan, repo)}
         assert "close" not in kinds
+
+
+class TestCarriedMonitor:
+    """Transitions hand the successor component a monitor that has
+    consumed its history, instead of leaving it to be replayed."""
+
+    def test_moves_without_appends_share_the_monitor(self):
+        tree = SessionNode(Leaf("c", send("a")), Leaf("s", receive("a")))
+        component = Component(History([Event("e")]), tree)
+        monitor = component.monitor()
+        (synch,) = network_transitions(Configuration.of(component),
+                                       Plan.empty(), Repository())
+        assert synch.successor[0].monitor() is monitor
+
+    def test_close_hands_over_a_monitor_past_every_appended_label(self):
+        phi = forbid("x")
+        client = request("r", phi, send("a"))
+        server = receive("a", Framing(PHI, seq(event("e"), receive("never"))))
+        repo = Repository({"srv": server})
+        plan = Plan.single("r", "srv")
+        config = Configuration.of(Component.client("me", client))
+        for rule in ("open", "synch", "access", "access", "close"):
+            config = next(transition.successor for transition
+                          in network_transitions(config, plan, repo)
+                          if transition.rule == rule)
+        done = config[0]
+        assert done.history[-2:] == (FrameClose(PHI), FrameClose(phi))
+        carried = done._monitor
+        assert carried is not None
+        fresh = ValidityMonitor(done.history)
+        assert carried.active_policies() == fresh.active_policies() == {}
+        assert carried.events == fresh.events == (Event("e"),)
+        assert carried.valid and fresh.valid
 
 
 class TestSessionAndNetRules:

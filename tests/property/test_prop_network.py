@@ -18,14 +18,14 @@ from repro.core.plans import Plan
 from repro.core.syntax import (EPSILON, EventNode, ExternalChoice,
                                HistoryExpression, InternalChoice, Mu,
                                Request, seq)
-from repro.core.validity import is_valid
-from repro.network.config import Component, Configuration
+from repro.core.validity import ValidityMonitor, is_valid
+from repro.network.config import Component, Configuration, Leaf
 from repro.network.explorer import plan_is_valid_exhaustive
 from repro.network.repository import Repository
-from repro.network.semantics import network_transitions
+from repro.network.semantics import component_moves, network_transitions
 from repro.network.simulator import Simulator
 
-from tests.strategies import contracts, events, policies
+from tests.strategies import contracts, events, histories, policies
 
 
 def _inject_events(term: HistoryExpression, names,
@@ -157,3 +157,42 @@ def test_transitions_never_invalidate_silently_in_monitored_mode(scenario):
                                           enforce_validity=True):
         moved = transition.successor.components[transition.component]
         assert is_valid(moved.history)
+
+
+def _monitor_state(monitor):
+    return monitor.valid, monitor.events, monitor.active_policies()
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenario=scenarios(), history=histories(), data=st.data())
+def test_monitored_filter_admits_exactly_the_valid_moves(scenario, history,
+                                                         data):
+    """The filter, run on the monitor each component carries, admits in
+    order the unfiltered moves with no appends or with a valid extended
+    history — on walked components (monitor inherited from the move
+    that produced them) and fresh ones (monitor rebuilt), from any
+    starting history, valid or not."""
+    client, plan, repository = scenario
+    configuration = Configuration.of(Component(history, Leaf("c", client)))
+    for _ in range(40):
+        walked = configuration[0]
+        for component in (walked, Component(walked.history, walked.tree)):
+            expected = [
+                move for move in component_moves(component, plan, repository,
+                                                 enforce_validity=False)
+                if not move.appends
+                or is_valid(component.history.extend(move.appends))]
+            states = []
+            for _listing in range(2):
+                assert list(component_moves(component, plan,
+                                             repository)) == expected
+                states.append(_monitor_state(component.monitor()))
+            assert states[0] == states[1] == _monitor_state(
+                ValidityMonitor(component.history))
+            assert states[0][0] == is_valid(component.history)
+        transitions = list(network_transitions(
+            configuration, plan, repository,
+            enforce_validity=data.draw(st.booleans(), label="monitored")))
+        if not transitions:
+            break
+        configuration = data.draw(st.sampled_from(transitions)).successor

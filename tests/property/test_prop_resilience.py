@@ -19,6 +19,9 @@ Four families, straight from the subsystem's contract:
   non-decreasing ticks, no matter the operation sequence.
 """
 
+import functools
+import pathlib
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,9 +29,10 @@ from benchmarks.workloads import (branchy_client, branchy_worker,
                                   chain_client, pumping_client,
                                   recursive_ticker, worker_pool)
 from repro.analysis.verification import verify_network
+from repro.cli import load_network
 from repro.core.compliance import check_compliance
 from repro.core.reversible import check_reversible
-from repro.core.validity import History, is_valid
+from repro.core.validity import History, ValidityMonitor, is_valid
 from repro.network.repository import Repository
 from repro.resilience.faults import module_requests, sample_fault_plan
 from repro.resilience.supervisor import (BREAKER_EDGES, CircuitBreaker,
@@ -138,6 +142,64 @@ class TestRollbackPrefixValidity:
                             fault_plan=fault_plan, rollback=True,
                             seed=seed, max_steps=300).run()
         self.assert_prefix_valid(result)
+
+
+EXAMPLES = pathlib.Path(__file__).resolve().parents[2] / "examples"
+
+
+@functools.lru_cache(maxsize=None)
+def verified_example(name):
+    network = load_network(EXAMPLES / name)
+    verdict = verify_network(network.clients, network.repository)
+    assert verdict.verified
+    return network.clients, network.repository, verdict.plan_vector()
+
+
+class CheckpointRecorder(Supervisor):
+    """A supervisor that keeps every checkpoint it pushes, including
+    those a rollback later pops."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.pushed = []
+
+    def _note_choice(self, allowed, transition):
+        stack = self._checkpoints[transition.component]
+        before = len(stack)
+        super()._note_choice(allowed, transition)
+        self.pushed.extend(stack[before:])
+
+
+class TestSupervisedMonitorsMatchTheirHistories:
+    """The monitor each component carries is handed over by moves,
+    restored with checkpoint snapshots and kept by byzantine rewrites;
+    wherever a component ends up, it agrees with a monitor replayed
+    from the component's history."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+           example=st.sampled_from(("hotel_booking.sus",
+                                    "resilient_booking.sus")))
+    def test_final_components_and_snapshots(self, seed, example):
+        clients, repository, plans = verified_example(example)
+        fault_plan = sample_fault_plan(
+            seed, repository,
+            requests=module_requests(clients, repository),
+            kinds=("crash", "drop", "stall", "byzantine"))
+        supervisor = CheckpointRecorder(clients, plans, repository,
+                                        fault_plan=fault_plan,
+                                        rollback=True, seed=seed,
+                                        max_steps=300)
+        assert_invariant(supervisor.run())
+        components = (list(supervisor.simulator.configuration.components)
+                      + [checkpoint.snapshot
+                         for checkpoint in supervisor.pushed])
+        for component in components:
+            carried = component.monitor()
+            fresh = ValidityMonitor(component.history)
+            assert carried.valid == fresh.valid
+            assert carried.active_policies() == fresh.active_policies()
+            assert carried.events == fresh.events
 
 
 class TestEngineAgreement:
