@@ -561,22 +561,50 @@ def _count(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The argparse command tree (exposed for the tests)."""
+#: The subcommands, in the order ``repro --help`` lists them.
+COMMANDS = ("check", "lint", "analyze", "canon", "registry", "verify",
+            "compliance", "simulate", "chaos", "report", "explain", "dot",
+            "trace")
+
+
+class _Unbuilt:
+    """Stands in for the parser of a subcommand that is not built: the
+    arguments it is given are dropped."""
+
+    def add_argument(self, *args, **kwargs) -> None:
+        pass
+
+    set_defaults = add_argument
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argparse command tree (exposed for the tests).
+
+    With a *command*, only that subcommand's parser is built.  The tree
+    then parses that command's arguments, and prints its help, usage and
+    errors, exactly as the full tree does: the usage line still names
+    every subcommand."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Secure and Unfailing Services — verification toolkit")
     parser.add_argument("--stats", action="store_true",
                         help="enable telemetry and print the metrics "
                              "table after the command")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(COMMANDS) + "}")
 
-    check = sub.add_parser("check", help="parse and validate a network "
-                                         "(error-severity lint included)")
+    def add(name: str, **kwargs):
+        if command is None or name == command:
+            return sub.add_parser(name, **kwargs)
+        return _Unbuilt()
+
+    check = add("check", help="parse and validate a network "
+                              "(error-severity lint included)")
     check.add_argument("network")
     check.set_defaults(func=_cmd_check)
 
-    lint = sub.add_parser(
+    lint = add(
         "lint", help="run the SUS0xx static diagnostics over modules")
     lint.add_argument("networks", nargs="*", metavar="NETWORK",
                       help="module files to lint (.sus or .toml)")
@@ -594,7 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="print the rule table and exit")
     lint.set_defaults(func=_cmd_lint)
 
-    analyze = sub.add_parser(
+    analyze = add(
         "analyze", help="statically certify validity, compliance and "
                         "plans, with counterexample witnesses")
     analyze.add_argument("network")
@@ -606,7 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="bound on the candidate plans per client")
     analyze.set_defaults(func=_cmd_analyze)
 
-    canon = sub.add_parser(
+    canon = add(
         "canon", help="canonical contract analysis: bisimulation "
                       "quotients, fingerprints, duplicate detection")
     canon.add_argument("network")
@@ -616,7 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "deterministic JSON (repro-canon.v1)")
     canon.set_defaults(func=_cmd_canon)
 
-    registry = sub.add_parser(
+    registry = add(
         "registry", help="signature-indexed service registry: index the "
                          "module's services and answer discovery queries")
     registry.add_argument("network")
@@ -633,13 +661,12 @@ def build_parser() -> argparse.ArgumentParser:
                                "deterministic JSON (repro-registry.v1)")
     registry.set_defaults(func=_cmd_registry)
 
-    verify = sub.add_parser("verify", help="synthesise valid plans")
+    verify = add("verify", help="synthesise valid plans")
     verify.add_argument("network")
     verify.add_argument("--max-plans", type=_count, default=None)
     verify.set_defaults(func=_cmd_verify)
 
-    compliance = sub.add_parser("compliance",
-                                help="check one client/service pair")
+    compliance = add("compliance", help="check one client/service pair")
     compliance.add_argument("network")
     compliance.add_argument("client")
     compliance.add_argument("server")
@@ -649,8 +676,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "stuck pair?")
     compliance.set_defaults(func=_cmd_compliance)
 
-    simulate = sub.add_parser("simulate",
-                              help="verify, then run one computation")
+    simulate = add("simulate", help="verify, then run one computation")
     simulate.add_argument("network")
     simulate.add_argument("--seed", type=int, default=0)
     simulate.add_argument("--max-steps", type=_count, default=10_000)
@@ -660,7 +686,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="print the Figure-3-style step trace")
     simulate.set_defaults(func=_cmd_simulate)
 
-    chaos = sub.add_parser(
+    chaos = add(
         "chaos", help="verify, then run seeded fault-injection trials "
                       "and check the resilience invariant")
     chaos.add_argument("network")
@@ -686,7 +712,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="text")
     chaos.set_defaults(func=_cmd_chaos)
 
-    report = sub.add_parser(
+    report = add(
         "report", help="run a seeded chaos campaign under telemetry and "
                        "print one merged observability report "
                        "(layers, causal chains, flight recorder)")
@@ -711,19 +737,18 @@ def build_parser() -> argparse.ArgumentParser:
                              "stdout")
     report.set_defaults(func=_cmd_report)
 
-    explain = sub.add_parser(
+    explain = add(
         "explain", help="narrate why each candidate plan is (in)valid")
     explain.add_argument("network")
     explain.add_argument("client")
     explain.set_defaults(func=_cmd_explain)
 
-    dot = sub.add_parser("dot", help="Graphviz output for a policy or "
-                                     "contract")
+    dot = add("dot", help="Graphviz output for a policy or contract")
     dot.add_argument("network")
     dot.add_argument("name")
     dot.set_defaults(func=_cmd_dot)
 
-    trace = sub.add_parser(
+    trace = add(
         "trace", help="verify + simulate with telemetry on; print the "
                       "span tree (and write it as JSONL with --out)")
     trace.add_argument("network")
@@ -736,10 +761,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _invoked(argv: list[str]) -> str | None:
+    """The subcommand *argv* runs, when its first argument after any
+    ``--stats`` names one; otherwise ``None`` (help, or an error that
+    lists every subcommand), which needs the full tree."""
+    for arg in argv:
+        if arg != "--stats":
+            return arg if arg in COMMANDS else None
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(_invoked(argv)).parse_args(argv)
     try:
         if args.stats:
             with _telemetry.telemetry_session() as tel:
@@ -768,9 +804,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     except RecursionError:
-        # The tree walks recurse once per nesting level, so a term nested
-        # deeper than the interpreter allows is an input the tool cannot
-        # take, not a rejected one.
+        # The passes over terms are iterative folds, but the parser
+        # recurses once per nested prefix, choice or group, so source
+        # nested deeper than the interpreter allows is an input the tool
+        # cannot take, not a rejected one.
         source = getattr(args, "network", None) or " ".join(
             getattr(args, "networks", None) or ["input"])
         print(f"error: {source}: term nested too deeply (over the Python "

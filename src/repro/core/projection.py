@@ -18,57 +18,54 @@ from __future__ import annotations
 from repro.core.syntax import (EPSILON, ClosePending, Epsilon, EventNode,
                                ExternalChoice, FrameClosePending, Framing,
                                HistoryExpression, InternalChoice, Mu, Request,
-                               Seq, Var, free_variables, seq)
+                               Seq, Var, fold, seq)
 
 
-def project(term: HistoryExpression,
-            _memo: dict | None = None) -> HistoryExpression:
+def project(term: HistoryExpression) -> HistoryExpression:
     """The projection ``term!`` on communication actions.
 
     Closed terms project to closed terms.  Recursions whose body becomes
     trivial (no reachable communication guard) are simplified to ``ε`` so
     that the projected contract stays well formed.
 
-    A node's projection depends on the node alone, so one call projects
-    each distinct (shared) sub-term once: the work follows the term's
-    DAG, not its tree.  The memo is checked here, not in a helper, so
-    the recursion costs one frame per nesting level.
+    A node's projection depends on the node alone, so one
+    :func:`~repro.core.syntax.fold` projects each distinct (shared)
+    sub-term once, without recursion: the work follows the term's DAG,
+    not its tree.  A request's body is erased, so it is never visited.
     """
-    if _memo is None:
-        _memo = {}
-    else:
-        known = _memo.get(term)
-        if known is not None:
-            return known
-    if isinstance(term, Framing):
-        result = project(term.body, _memo)
-    elif isinstance(term, (Epsilon, EventNode, ClosePending, Request,
-                           FrameClosePending)):
-        # ε, events, whole requests and run-time residuals all erase.
-        result = EPSILON
-    elif isinstance(term, Var):
-        result = term
-    elif isinstance(term, Seq):
-        result = seq(project(term.first, _memo),
-                     project(term.second, _memo))
-    elif isinstance(term, ExternalChoice):
-        result = ExternalChoice(tuple((label, project(cont, _memo))
-                                      for label, cont in term.branches))
-    elif isinstance(term, InternalChoice):
-        result = InternalChoice(tuple((label, project(cont, _memo))
-                                      for label, cont in term.branches))
-    elif isinstance(term, Mu):
-        body = project(term.body, _memo)
-        if term.var not in free_variables(body):
-            result = body
-        elif _is_trivial_loop(body, term.var):
-            result = EPSILON
-        else:
-            result = Mu(term.var, body)
-    else:
-        raise TypeError(f"unknown history expression node {term!r}")
-    _memo[term] = result
-    return result
+    return fold(term, _project_node, children=_projected_children)
+
+
+def _projected_children(node: HistoryExpression):
+    return () if node.__class__ is Request else node.children()
+
+
+def _project_node(node: HistoryExpression, memo: dict) -> HistoryExpression:
+    cls = node.__class__
+    if cls is Seq:
+        return seq(memo[node.first], memo[node.second])
+    if cls is ExternalChoice or cls is InternalChoice:
+        return cls(tuple((label, memo[cont])
+                         for label, cont in node.branches))
+    if cls is Framing:
+        return memo[node.body]
+    if cls is Var:
+        return node
+    if cls is Mu:
+        body = memo[node.body]
+        if node.var not in body._free:
+            return body
+        if _is_trivial_loop(body, node.var):
+            return EPSILON
+        return Mu(node.var, body)
+    if cls in _ERASED:
+        return EPSILON
+    raise TypeError(f"unknown history expression node {node!r}")
+
+
+#: ε, events, whole requests and run-time residuals all project to ε.
+_ERASED = frozenset({Epsilon, EventNode, ClosePending, Request,
+                     FrameClosePending})
 
 
 def _is_trivial_loop(body: HistoryExpression, var: str) -> bool:

@@ -28,6 +28,11 @@ Two *run-time* leaves complement the surface grammar:
 The structural congruence ``ε·H ≡ H ≡ H·ε`` is enforced by the smart
 constructor :func:`seq`, which all library code uses instead of building
 :class:`Seq` nodes directly.
+
+A pass over a term is a :func:`fold`: it visits each distinct node once,
+children first, with an explicit stack, so its work follows the term's
+DAG and no term is too deep for it.  :meth:`HistoryExpression.walk`
+visits every occurrence instead, for the passes where that matters.
 """
 
 from __future__ import annotations
@@ -324,7 +329,7 @@ class ExternalChoice(HistoryExpression):
     _key = staticmethod(_branches_key)
 
     def children(self) -> tuple[HistoryExpression, ...]:
-        return tuple(cont for _, cont in self.branches)
+        return tuple([cont for _, cont in self.branches])
 
 
 @_node
@@ -340,7 +345,7 @@ class InternalChoice(HistoryExpression):
     _key = staticmethod(_branches_key)
 
     def children(self) -> tuple[HistoryExpression, ...]:
-        return tuple(cont for _, cont in self.branches)
+        return tuple([cont for _, cont in self.branches])
 
 
 @_node
@@ -508,43 +513,99 @@ def is_closed(term: HistoryExpression) -> bool:
     return not term._free
 
 
+def fold(term: HistoryExpression, leave, memo: dict | None = None,
+         children=None):
+    """Fold *leave* over the distinct nodes of *term*, children first.
+
+    The nodes are visited in post-order with an explicit stack, so a term
+    of any depth folds without recursion, and each distinct (shared) node
+    is left once: the work follows the term's DAG, not its tree.
+    ``leave(node, memo)`` returns the node's value, reading its
+    children's values from *memo*, which maps each node left so far to
+    its value.  *children(node)* names the nodes to visit before *node*
+    (by default :meth:`HistoryExpression.children`); a pass that never
+    reads some sub-terms leaves them out.  A *memo* passed in is shared
+    with the caller, so several folds can reuse each other's values;
+    otherwise it lives for this call.  Returns ``memo[term]``.
+    """
+    if memo is None:
+        memo = {}
+    stack = [term]
+    pop, push, extend = stack.pop, stack.append, stack.extend
+    while stack:
+        node = pop()
+        if node.__class__ is tuple:  # (node,): its children are all left
+            node = node[0]
+            memo[node] = leave(node, memo)
+        elif node not in memo:
+            # Met for the first time: in a DAG no node lies below itself,
+            # so a node met again has been left already.
+            kids = node.children() if children is None else children(node)
+            if kids:
+                push((node,))
+                extend(kids)
+            else:
+                memo[node] = leave(node, memo)
+    return memo[term]
+
+
+def chain_children(node: HistoryExpression):
+    """The children of *node*, reading a sequence ``H1·(H2·(…·Hn))`` as
+    one node with the operands ``H1 … Hn``.
+
+    Given as the *children* of a :func:`fold`, it lets a pass whose value
+    for a sequence grows with the sequence (a string, a label set) leave
+    a long sequence once, not once per suffix."""
+    if node.__class__ is not Seq:
+        return node.children()
+    parts = []
+    while node.__class__ is Seq:
+        parts.append(node.first)
+        node = node.second
+    parts.append(node)
+    return parts
+
+
 def substitute(term: HistoryExpression, var: str,
                replacement: HistoryExpression) -> HistoryExpression:
     """Capture-avoiding substitution ``term{replacement / var}``.
 
     Because recursion in the calculus is tail recursion over named
     variables, capture can only occur through shadowing ``μ`` binders; an
-    inner binder with the same name simply stops the substitution.
+    inner binder with the same name simply stops the substitution.  A
+    sub-term in which *var* is not free is kept as it is.
     """
-    if isinstance(term, Var):
-        return replacement if term.name == var else term
-    if isinstance(term, Mu):
-        if term.var == var:
-            return term
-        if term.var in free_variables(replacement):
-            fresh = _fresh_name(term.var,
-                                free_variables(replacement)
-                                | free_variables(term.body))
-            renamed = substitute(term.body, term.var, Var(fresh))
+    outer = replacement._free
+
+    def children(node):
+        if var not in node._free or (node.__class__ is Mu
+                                     and node.var in outer):
+            return ()
+        return node.children()
+
+    def leave(node, memo):
+        if var not in node._free:
+            return node
+        cls = node.__class__
+        if cls is Var:
+            return replacement
+        if cls is Seq:
+            return seq(memo[node.first], memo[node.second])
+        if cls is ExternalChoice or cls is InternalChoice:
+            return cls(tuple((label, memo[cont])
+                             for label, cont in node.branches))
+        if cls is Request:
+            return Request(node.request, node.policy, memo[node.body])
+        if cls is Framing:
+            return Framing(node.policy, memo[node.body])
+        # A μ: *var* is free in it, so it binds another name.
+        if node.var in outer:
+            fresh = _fresh_name(node.var, outer | node.body._free)
+            renamed = substitute(node.body, node.var, Var(fresh))
             return Mu(fresh, substitute(renamed, var, replacement))
-        return Mu(term.var, substitute(term.body, var, replacement))
-    if isinstance(term, Seq):
-        return seq(substitute(term.first, var, replacement),
-                   substitute(term.second, var, replacement))
-    if isinstance(term, ExternalChoice):
-        return ExternalChoice(tuple(
-            (label, substitute(cont, var, replacement))
-            for label, cont in term.branches))
-    if isinstance(term, InternalChoice):
-        return InternalChoice(tuple(
-            (label, substitute(cont, var, replacement))
-            for label, cont in term.branches))
-    if isinstance(term, Request):
-        return Request(term.request, term.policy,
-                       substitute(term.body, var, replacement))
-    if isinstance(term, Framing):
-        return Framing(term.policy, substitute(term.body, var, replacement))
-    return term
+        return Mu(node.var, memo[node.body])
+
+    return fold(term, leave, children=children)
 
 
 def _fresh_name(base: str, avoid: Iterable[str]) -> str:
@@ -587,15 +648,21 @@ def channels_of(term: HistoryExpression) -> frozenset[str]:
     return frozenset(channels)
 
 
+#: The node classes that name a policy (``None`` for a request's empty
+#: policy).
+_POLICY_NODES = frozenset({Framing, FrameClosePending, Request,
+                           ClosePending})
+
+
 def policies_of(term: HistoryExpression) -> frozenset[object]:
     """All policies mentioned by framings or requests of *term*."""
     found: set[object] = set()
-    for node in term.walk():
-        if isinstance(node, (Framing, FrameClosePending)):
+
+    def leave(node, memo):
+        if node.__class__ in _POLICY_NODES and node.policy is not None:
             found.add(node.policy)
-        elif isinstance(node, (Request, ClosePending)):
-            if node.policy is not None:
-                found.add(node.policy)
+
+    fold(term, leave)
     return frozenset(found)
 
 

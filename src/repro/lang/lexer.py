@@ -124,11 +124,12 @@ def _tokens(source: str) -> Iterator[Token]:
             column += end + 1 - index
             index = end + 1
             continue
-        if char.isdigit() or (char == "-" and index + 1 < length
-                              and source[index + 1].isdigit()):
+        # Decimal digits only: int() rejects other digits, such as "²".
+        if char.isdecimal() or (char == "-" and index + 1 < length
+                                and source[index + 1].isdecimal()):
             start_line, start_column = line, column
             end = index + 1
-            while end < length and (source[end].isdigit()
+            while end < length and (source[end].isdecimal()
                                     or source[end] == "."):
                 end += 1
             text = source[index:end]

@@ -301,7 +301,13 @@ class _ModuleParser(_Parser):
                     self.advance()
                     self._argument(positional, named)
             self.expect(")")
-        automaton = factory(*positional)
+        try:
+            automaton = factory(*positional)
+        except (TypeError, ValueError) as error:
+            # A wrong number or kind of schema arguments.
+            raise ParseError(
+                f"bad arguments to policy schema {schema_token.text!r}: "
+                f"{error}", schema_token.line, schema_token.column) from None
         return automaton.instantiate(**named)
 
     def _argument(self, positional: list, named: dict) -> None:

@@ -9,98 +9,94 @@ readable but not necessarily re-parseable).
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Callable, Mapping
 
-from repro.core.actions import Event, Receive, Send
+from repro.core.actions import Event, Send
 from repro.core.syntax import (ClosePending, Epsilon, EventNode,
                                ExternalChoice, FrameClosePending, Framing,
                                HistoryExpression, InternalChoice, Mu, Request,
-                               Seq, Var)
+                               Seq, Var, chain_children, fold)
 
 
 def pretty(term: HistoryExpression,
            policy_names: Mapping[object, str] | None = None) -> str:
     """Render *term* in the surface syntax."""
-    printer = _Printer(policy_names or {})
-    return printer.render(term)
+    return printer(policy_names)(term)
 
 
-class _Printer:
-    def __init__(self, policy_names: Mapping[object, str]) -> None:
-        self._policy_names = policy_names
+def printer(policy_names: Mapping[object, str] | None = None
+            ) -> Callable[[HistoryExpression], str]:
+    """A renderer whose calls share one memo of rendered nodes.
 
-    def render(self, term: HistoryExpression) -> str:
-        if isinstance(term, Epsilon):
+    Each call is one :func:`~repro.core.syntax.fold`, so a term of any
+    depth renders without recursion and each distinct sub-term once.
+    Terms rendered by the same renderer share their common sub-terms'
+    text: a witness uses one renderer for all the residuals of its
+    trace.  The memo lives as long as the renderer."""
+    names = policy_names or {}
+    memo: dict = {}
+
+    def policy(value: object) -> str:
+        name = names.get(value)
+        return str(value) if name is None else name
+
+    def leave(node, memo) -> str:
+        cls = node.__class__
+        if cls is Seq:
+            return " ; ".join([memo[part] for part in chain_children(node)])
+        if cls is ExternalChoice or cls is InternalChoice:
+            rendered = []
+            for label, cont in node.branches:
+                sigil = "!" if label.__class__ is Send else "?"
+                if cont.__class__ is Epsilon:
+                    rendered.append(f"{sigil}{label.channel}")
+                elif cont.__class__ is Seq:
+                    rendered.append(
+                        f"{sigil}{label.channel} . {{ {memo[cont]} }}")
+                else:
+                    rendered.append(f"{sigil}{label.channel} . {memo[cont]}")
+            if len(rendered) == 1:
+                return rendered[0]
+            operator = " + " if cls is ExternalChoice else " ++ "
+            return "(" + operator.join(rendered) + ")"
+        if cls is EventNode:
+            return _event(node.event)
+        if cls is Var:
+            return node.name
+        if cls is Epsilon:
             return "eps"
-        if isinstance(term, Var):
-            return term.name
-        if isinstance(term, EventNode):
-            return self._event(term.event)
-        if isinstance(term, Seq):
-            parts = []
-            node: HistoryExpression = term
-            while isinstance(node, Seq):
-                parts.append(self.render(node.first))
-                node = node.second
-            parts.append(self.render(node))
-            return " ; ".join(parts)
-        if isinstance(term, ExternalChoice):
-            return self._choice(term.branches, "+")
-        if isinstance(term, InternalChoice):
-            return self._choice(term.branches, "++")
-        if isinstance(term, Mu):
-            return f"mu {term.var} {{ {self.render(term.body)} }}"
-        if isinstance(term, Request):
-            policy = ("" if term.policy is None
-                      else f" with {self._policy(term.policy)}")
-            return (f"open {term.request}{policy} "
-                    f"{{ {self.render(term.body)} }}")
-        if isinstance(term, Framing):
-            return (f"frame {self._policy(term.policy)} "
-                    f"{{ {self.render(term.body)} }}")
-        if isinstance(term, ClosePending):
-            policy = ("0" if term.policy is None
-                      else self._policy(term.policy))
-            return f"<close {term.request},{policy}>"
-        if isinstance(term, FrameClosePending):
-            return f"<]{self._policy(term.policy)}>"
-        raise TypeError(f"unknown history expression node {term!r}")
+        if cls is Mu:
+            return f"mu {node.var} {{ {memo[node.body]} }}"
+        if cls is Request:
+            with_policy = ("" if node.policy is None
+                           else f" with {policy(node.policy)}")
+            return (f"open {node.request}{with_policy} "
+                    f"{{ {memo[node.body]} }}")
+        if cls is Framing:
+            return f"frame {policy(node.policy)} {{ {memo[node.body]} }}"
+        if cls is ClosePending:
+            closed = "0" if node.policy is None else policy(node.policy)
+            return f"<close {node.request},{closed}>"
+        if cls is FrameClosePending:
+            return f"<]{policy(node.policy)}>"
+        raise TypeError(f"unknown history expression node {node!r}")
 
-    def _event(self, item: Event) -> str:
-        if not item.params:
-            return f"@{item.name}"
-        inner = ", ".join(self._literal(param) for param in item.params)
-        return f"@{item.name}({inner})"
+    return lambda term: fold(term, leave, memo, chain_children)
 
-    @staticmethod
-    def _literal(value: object) -> str:
-        if isinstance(value, bool):
-            return f'"{value}"'
-        if isinstance(value, (int, float)):
-            return str(value)
-        text = str(value)
-        if text.isidentifier():
-            return text
-        return f'"{text}"'
 
-    def _choice(self, branches, operator: str) -> str:
-        rendered = []
-        for label, continuation in branches:
-            sigil = "!" if isinstance(label, Send) else "?"
-            assert isinstance(label, (Send, Receive))
-            if isinstance(continuation, Epsilon):
-                rendered.append(f"{sigil}{label.channel}")
-            else:
-                body = self.render(continuation)
-                if isinstance(continuation, Seq):
-                    body = f"{{ {body} }}"
-                rendered.append(f"{sigil}{label.channel} . {body}")
-        if len(rendered) == 1:
-            return rendered[0]
-        return "(" + f" {operator} ".join(rendered) + ")"
+def _event(item: Event) -> str:
+    if not item.params:
+        return f"@{item.name}"
+    inner = ", ".join(_literal(param) for param in item.params)
+    return f"@{item.name}({inner})"
 
-    def _policy(self, policy: object) -> str:
-        name = self._policy_names.get(policy)
-        if name is not None:
-            return name
-        return str(policy)
+
+def _literal(value: object) -> str:
+    if isinstance(value, bool):
+        return f'"{value}"'
+    if isinstance(value, (int, float)):
+        return str(value)
+    text = str(value)
+    if text.isidentifier():
+        return text
+    return f'"{text}"'

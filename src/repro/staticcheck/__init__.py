@@ -1,12 +1,12 @@
 """Whole-network abstract interpretation (static certification layer).
 
-Four analyses, the label analysis over a generic worklist fixpoint
-solver (:mod:`~repro.staticcheck.solver`):
+Four analyses:
 
 ====================  ====================================================
 analysis              certifies
 ====================  ====================================================
-label analysis        may/must label sets of a history expression
+label analysis        may/must label sets of a history expression, one
+                      fold over its distinct nodes (no fixpoint solve)
 static validity       ``|= η`` for all runs, with a replayable
                       :class:`~repro.staticcheck.witness.ValidityWitness`
                       on failure
@@ -35,8 +35,6 @@ from __future__ import annotations
 
 from repro.observability.cache_stats import reset_cache_stats
 from repro.contracts.contract import register_cache_clearer
-from repro.staticcheck.solver import (Equation, FixpointSolution, Lattice,
-                                      PowersetLattice, solve)
 from repro.staticcheck.labels import (LabelAnalysis, analyse_labels,
                                       may_diverge, syntactic_alphabet)
 from repro.staticcheck.validity import (ValidityCertificate,
@@ -76,14 +74,10 @@ __all__ = [
     "ClientPlanReport",
     "ComplianceCertificate",
     "CoreConstraint",
-    "Equation",
-    "FixpointSolution",
     "LabelAnalysis",
-    "Lattice",
     "ModuleAnalysis",
     "PairReport",
     "PlanExplanation",
-    "PowersetLattice",
     "StuckWitness",
     "TermReport",
     "ValidityCertificate",
@@ -95,7 +89,6 @@ __all__ = [
     "clear_staticcheck_caches",
     "explain_no_valid_plan",
     "may_diverge",
-    "solve",
     "syntactic_alphabet",
     "witness_from_history",
 ]

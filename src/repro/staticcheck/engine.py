@@ -53,7 +53,8 @@ class TermReport:
             "may": sorted(str(label) for label in self.labels.may),
             "must": sorted(str(label) for label in self.labels.must),
             "diverging": self.labels.diverging,
-            "widened": self.labels.widened,
+            # repro-analyze.v1 keeps the key; the analysis never widens.
+            "widened": False,
             "witness": None if witness is None else witness.to_json(),
         }
 

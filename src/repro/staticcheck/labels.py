@@ -11,25 +11,26 @@ label alphabet:
   maximal run — choices intersect, and the tail of a sequence only
   contributes when its head cannot diverge.
 
-Recursion is handled by alpha-renaming the term so that every ``μ``
-binder is globally unique, phrasing one equation per binder and solving
-the system with the worklist engine (Kleene iteration; the optional
-set-height widening of :class:`~repro.staticcheck.solver.PowersetLattice`
-bounds iteration on pathologically deep alphabets).
+Guarded tail recursion needs no fixpoint iteration: the whole analysis
+is one :func:`~repro.core.syntax.fold` over the term's distinct nodes.
+A recursion variable re-enters its binder, whose labels are already
+counted, so ``may`` is the union of each node's own labels.  A variable
+contributes nothing to ``must`` (the least fixpoint from ``⊥``), so
+``μh.H`` has the must set of ``H``.  Divergence is a memoised fold too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 from repro.core.actions import (FrameClose, FrameOpen, Label, SessionClose,
                                 SessionOpen)
-from repro.core.syntax import (ClosePending, Epsilon, EventNode,
-                               ExternalChoice, FrameClosePending, Framing,
-                               HistoryExpression, InternalChoice, Mu, Request,
-                               Seq, Var, free_variables)
-from repro.staticcheck.solver import Equation, PowersetLattice, solve
+from repro.core.syntax import (ClosePending, EventNode, ExternalChoice,
+                               FrameClosePending, Framing, HistoryExpression,
+                               InternalChoice, Mu, Request, Seq,
+                               chain_children, fold)
+
+_NOTHING: frozenset = frozenset()
 
 
 @dataclass(frozen=True)
@@ -40,8 +41,6 @@ class LabelAnalysis:
     must: frozenset
     universe: frozenset
     diverging: bool
-    iterations: int
-    widened: bool
 
     def covers(self, label: Label) -> bool:
         """Is *label* abstractly possible?  (Soundness: a ``False`` answer
@@ -49,48 +48,76 @@ class LabelAnalysis:
         return label in self.may
 
 
-def analyse_labels(term: HistoryExpression, *,
-                   widen_height: int | None = None,
-                   widen_after: int | None = None) -> LabelAnalysis:
-    """Run the may and must label analyses on *term*."""
-    renamed = _unique_binders(term)
-    universe = syntactic_alphabet(renamed)
-    lattice = PowersetLattice(universe, widen_height)
-    binders = _binder_bodies(renamed)
+def analyse_labels(term: HistoryExpression) -> LabelAnalysis:
+    """Run the may and must label analyses on *term*.
 
-    def system(transfer):
-        return {name: Equation(name,
-                               tuple(sorted(free_variables(body))),
-                               (lambda env, b=body: transfer(b, env)))
-                for name, body in binders.items()}
+    One fold computes each distinct node's must set and whether it may
+    diverge, and collects every node's own labels; a sequence is left
+    once for all its operands, so a long one costs no unions of its
+    suffixes."""
+    may: set = set()
+    opens: set = set()  # the open labels of pending closes (universe only)
 
-    may_solution = solve(system(_may), lattice, widen_after=widen_after)
-    must_solution = solve(system(_must), lattice, widen_after=widen_after)
-    return LabelAnalysis(
-        may=_may(renamed, may_solution.values),
-        must=_must(renamed, must_solution.values),
-        universe=universe,
-        diverging=may_diverge(renamed),
-        iterations=may_solution.iterations + must_solution.iterations,
-        widened=bool(may_solution.widened or must_solution.widened))
+    def leave(node, memo):
+        cls = node.__class__
+        if cls is Seq:
+            must: set = set()
+            diverges = False
+            for part in chain_children(node):
+                part_must, part_diverges = memo[part]
+                if not diverges:  # else what follows may never run
+                    must.update(part_must)
+                diverges = diverges or part_diverges
+            return frozenset(must), diverges
+        if cls is ExternalChoice or cls is InternalChoice:
+            must = None
+            diverges = False
+            for label, cont in node.branches:
+                cont_must, cont_diverges = memo[cont]
+                branch = cont_must | {label}
+                must = branch if must is None else must & branch
+                diverges = diverges or cont_diverges
+                may.add(label)
+            return (_NOTHING if must is None else must), diverges
+        if cls is EventNode:
+            may.add(node.event)
+            return frozenset((node.event,)), False
+        if cls is Mu:
+            body_must, body_diverges = memo[node.body]
+            return body_must, body_diverges or node.var in node.body._free
+        if cls is Request or cls is Framing:
+            body_must, diverges = memo[node.body]
+            if cls is Request:
+                opened = SessionOpen(node.request, node.policy)
+                closed = SessionClose(node.request, node.policy)
+            else:
+                opened = FrameOpen(node.policy)
+                closed = FrameClose(node.policy)
+            may.update((opened, closed))
+            must = body_must | {opened}
+            return (must if diverges else must | {closed}), diverges
+        if cls is ClosePending or cls is FrameClosePending:
+            if cls is ClosePending:
+                opens.add(SessionOpen(node.request, node.policy))
+                closed = SessionClose(node.request, node.policy)
+            else:
+                opens.add(FrameOpen(node.policy))
+                closed = FrameClose(node.policy)
+            may.add(closed)
+            return frozenset((closed,)), False
+        return _NOTHING, False  # ε and recursion variables
+
+    must, diverging = fold(term, leave, children=chain_children)
+    may_labels = frozenset(may)
+    return LabelAnalysis(may=may_labels, must=must,
+                         universe=may_labels | opens, diverging=diverging)
 
 
 def syntactic_alphabet(term: HistoryExpression) -> frozenset:
     """Every label the transition semantics can possibly emit from any
-    residual of *term* — the universe of the powerset lattice."""
-    labels: set = set()
-    for node in term.walk():
-        if isinstance(node, EventNode):
-            labels.add(node.event)
-        elif isinstance(node, (ExternalChoice, InternalChoice)):
-            labels.update(label for label, _ in node.branches)
-        elif isinstance(node, (Request, ClosePending)):
-            labels.add(SessionOpen(node.request, node.policy))
-            labels.add(SessionClose(node.request, node.policy))
-        elif isinstance(node, (Framing, FrameClosePending)):
-            labels.add(FrameOpen(node.policy))
-            labels.add(FrameClose(node.policy))
-    return frozenset(labels)
+    residual of *term*: the universe the may and must sets are drawn
+    from."""
+    return analyse_labels(term).universe
 
 
 def may_diverge(term: HistoryExpression) -> bool:
@@ -101,147 +128,4 @@ def may_diverge(term: HistoryExpression) -> bool:
     direction for the *must* analysis, which drops the tail of a sequence
     whose head may never finish.
     """
-    if isinstance(term, Mu):
-        return term.var in free_variables(term.body) or may_diverge(term.body)
-    if isinstance(term, Seq):
-        return may_diverge(term.first) or may_diverge(term.second)
-    if isinstance(term, (ExternalChoice, InternalChoice)):
-        return any(may_diverge(body) for _, body in term.branches)
-    if isinstance(term, (Request, Framing)):
-        return may_diverge(term.body)
-    return False
-
-
-# -- transfer functions -----------------------------------------------------
-
-def _may(term: HistoryExpression,
-         env: Mapping[str, frozenset]) -> frozenset:
-    """Labels on *some* run of *term* (environment maps μ-binders)."""
-    if isinstance(term, Epsilon):
-        return frozenset()
-    if isinstance(term, Var):
-        return env.get(term.name, frozenset())
-    if isinstance(term, EventNode):
-        return frozenset({term.event})
-    if isinstance(term, Seq):
-        return _may(term.first, env) | _may(term.second, env)
-    if isinstance(term, (ExternalChoice, InternalChoice)):
-        result: frozenset = frozenset()
-        for label, body in term.branches:
-            result |= frozenset({label}) | _may(body, env)
-        return result
-    if isinstance(term, Mu):
-        return env.get(term.var, frozenset()) | _may(term.body, env)
-    if isinstance(term, Request):
-        return (frozenset({SessionOpen(term.request, term.policy),
-                           SessionClose(term.request, term.policy)})
-                | _may(term.body, env))
-    if isinstance(term, ClosePending):
-        return frozenset({SessionClose(term.request, term.policy)})
-    if isinstance(term, Framing):
-        return (frozenset({FrameOpen(term.policy), FrameClose(term.policy)})
-                | _may(term.body, env))
-    if isinstance(term, FrameClosePending):
-        return frozenset({FrameClose(term.policy)})
-    raise TypeError(f"not a history expression: {term!r}")
-
-
-def _must(term: HistoryExpression,
-          env: Mapping[str, frozenset]) -> frozenset:
-    """Labels on *every* maximal run of *term*."""
-    if isinstance(term, (Epsilon, Var)):
-        # A recursion variable contributes nothing: the lfp from ⊥ keeps
-        # `must` an under-approximation (unrolling can only shrink the
-        # intersection over runs, never grow it).
-        return frozenset()
-    if isinstance(term, EventNode):
-        return frozenset({term.event})
-    if isinstance(term, Seq):
-        head = _must(term.first, env)
-        if may_diverge(term.first):
-            return head
-        return head | _must(term.second, env)
-    if isinstance(term, (ExternalChoice, InternalChoice)):
-        result: frozenset | None = None
-        for label, body in term.branches:
-            branch = frozenset({label}) | _must(body, env)
-            result = branch if result is None else (result & branch)
-        return result if result is not None else frozenset()
-    if isinstance(term, Mu):
-        return env.get(term.var, frozenset()) | _must(term.body, env)
-    if isinstance(term, Request):
-        open_label = SessionOpen(term.request, term.policy)
-        close_label = SessionClose(term.request, term.policy)
-        guaranteed = frozenset({open_label}) | _must(term.body, env)
-        if not may_diverge(term.body):
-            guaranteed |= frozenset({close_label})
-        return guaranteed
-    if isinstance(term, ClosePending):
-        return frozenset({SessionClose(term.request, term.policy)})
-    if isinstance(term, Framing):
-        guaranteed = frozenset({FrameOpen(term.policy)}) | _must(term.body,
-                                                                 env)
-        if not may_diverge(term.body):
-            guaranteed |= frozenset({FrameClose(term.policy)})
-        return guaranteed
-    if isinstance(term, FrameClosePending):
-        return frozenset({FrameClose(term.policy)})
-    raise TypeError(f"not a history expression: {term!r}")
-
-
-# -- alpha renaming ---------------------------------------------------------
-
-def _unique_binders(term: HistoryExpression) -> HistoryExpression:
-    """Rename every ``μ`` binder to a globally unique name, so one flat
-    environment (binder name → lattice value) is well defined."""
-    used: set[str] = set()
-    for node in term.walk():
-        if isinstance(node, (Mu, Var)):
-            used.add(node.var if isinstance(node, Mu) else node.name)
-    counter = [0]
-
-    def fresh(base: str) -> str:
-        candidate = base
-        while candidate in used:
-            counter[0] += 1
-            candidate = f"{base}#{counter[0]}"
-        used.add(candidate)
-        return candidate
-
-    def rename(node: HistoryExpression,
-               scope: dict[str, str]) -> HistoryExpression:
-        if isinstance(node, (Epsilon, EventNode, ClosePending,
-                             FrameClosePending)):
-            return node
-        if isinstance(node, Var):
-            return Var(scope.get(node.name, node.name))
-        if isinstance(node, Mu):
-            name = fresh(node.var)
-            inner = dict(scope)
-            inner[node.var] = name
-            return Mu(name, rename(node.body, inner))
-        if isinstance(node, Seq):
-            return Seq(rename(node.first, scope), rename(node.second, scope))
-        if isinstance(node, ExternalChoice):
-            return ExternalChoice(tuple(
-                (label, rename(body, scope)) for label, body in node.branches))
-        if isinstance(node, InternalChoice):
-            return InternalChoice(tuple(
-                (label, rename(body, scope)) for label, body in node.branches))
-        if isinstance(node, Request):
-            return Request(node.request, node.policy,
-                           rename(node.body, scope))
-        if isinstance(node, Framing):
-            return Framing(node.policy, rename(node.body, scope))
-        raise TypeError(f"not a history expression: {node!r}")
-
-    return rename(term, {})
-
-
-def _binder_bodies(term: HistoryExpression) -> dict[str, HistoryExpression]:
-    """The body of each (unique) ``μ`` binder in *term*."""
-    bodies: dict[str, HistoryExpression] = {}
-    for node in term.walk():
-        if isinstance(node, Mu):
-            bodies[node.var] = node.body
-    return bodies
+    return analyse_labels(term).diverging

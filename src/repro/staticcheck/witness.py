@@ -141,11 +141,12 @@ class StuckWitness:
         return True
 
     def render_text(self) -> str:
-        from repro.lang.pretty import pretty
+        from repro.lang.pretty import printer
 
+        render = printer()  # the trace's residuals share sub-terms
         lines = ["stuck configuration (no ready-set match):"]
         for depth, (h1, h2) in enumerate(self.trace):
-            lines.append(f"  {depth}: <{pretty(h1)} | {pretty(h2)}>")
+            lines.append(f"  {depth}: <{render(h1)} | {render(h2)}>")
         for client_set, server_set in self.unmatched:
             lines.append(
                 f"  client insists on {_render_ready(client_set)} but the "
@@ -153,11 +154,12 @@ class StuckWitness:
         return "\n".join(lines)
 
     def to_json(self) -> dict:
-        from repro.lang.pretty import pretty
+        from repro.lang.pretty import printer
 
+        render = printer()  # the trace's residuals share sub-terms
         return {
             "kind": "stuck",
-            "trace": [[pretty(h1), pretty(h2)] for h1, h2 in self.trace],
+            "trace": [[render(h1), render(h2)] for h1, h2 in self.trace],
             "client_ready": sorted(
                 _sorted_set(rs) for rs in self.client_ready),
             "server_ready": sorted(

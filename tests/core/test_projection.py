@@ -7,15 +7,15 @@ from hypothesis import given, settings
 
 import repro.core.projection as projection
 from benchmarks.workloads import wide_client
-from repro.core.projection import _is_trivial_loop, project
-from repro.core.syntax import (EPSILON, ClosePending, Epsilon, EventNode,
-                               ExternalChoice, FrameClosePending, Framing,
-                               InternalChoice, Mu, Request, Seq, Var, event,
-                               external, free_variables, internal, is_closed,
-                               mu, receive, request, send, seq)
+from repro.core.projection import project
+from repro.core.syntax import (EPSILON, ExternalChoice, Framing,
+                               InternalChoice, Mu, Var, event, external,
+                               internal, is_closed, mu, receive, request,
+                               send, seq)
 from repro.paper import figure2
 from repro.policies.library import forbid
 
+from tests.oracles.projection import project as oracle_project
 from tests.strategies import contracts, history_expressions
 
 PHI = forbid("boom")
@@ -115,28 +115,6 @@ class TestPaperContracts:
 
 
 # -- the projection follows the term's DAG -----------------------------------
-
-def oracle_project(term):
-    """The projection as first written: one call per node of the tree."""
-    if isinstance(term, Framing):
-        return oracle_project(term.body)
-    if isinstance(term, (Epsilon, EventNode, ClosePending, Request,
-                         FrameClosePending)):
-        return EPSILON
-    if isinstance(term, Var):
-        return term
-    if isinstance(term, Seq):
-        return seq(oracle_project(term.first), oracle_project(term.second))
-    if isinstance(term, (ExternalChoice, InternalChoice)):
-        return type(term)(tuple((label, oracle_project(cont))
-                                for label, cont in term.branches))
-    body = oracle_project(term.body)
-    if term.var not in free_variables(body):
-        return body
-    if _is_trivial_loop(body, term.var):
-        return EPSILON
-    return Mu(term.var, body)
-
 
 def _dag_edges(term):
     """Child references of the distinct nodes of *term*."""

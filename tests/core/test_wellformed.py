@@ -92,6 +92,16 @@ class TestUniqueRequests:
         term = request("r", None, request("r", None, EPSILON))
         assert not is_well_formed(term)
 
+    def test_request_shared_by_two_branches_is_not_unique(self):
+        # Hash-consing gives both branches one `open 1 {…}` node: the
+        # check visits it once, yet the term opens request 1 twice.
+        shared = request("1", None, send("x"))
+        term = external(("a", shared), ("b", seq(event("e"), shared)))
+        assert term.branches[0][1] is term.branches[1][1].second
+        with pytest.raises(WellFormednessError,
+                           match="request identifier '1' is not unique"):
+            check_well_formed(term)
+
 
 class TestPaperTerms:
     @pytest.mark.parametrize("factory", [

@@ -1,5 +1,6 @@
 """Tests for the command-line driver."""
 
+import argparse
 import os
 import pathlib
 import subprocess
@@ -7,7 +8,7 @@ import sys
 
 import pytest
 
-from repro.cli import build_parser, load_network, main
+from repro.cli import COMMANDS, _invoked, build_parser, load_network, main
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 
@@ -376,3 +377,47 @@ class TestCountOptions:
     def test_zero_is_accepted(self, command, option):
         args = build_parser().parse_args([command, "net.sus", option, "0"])
         assert getattr(args, option[2:].replace("-", "_")) == 0
+
+
+def _parse(parser, argv, capsys):
+    """What parsing *argv* gives: the namespace or the exit code, and
+    everything printed."""
+    try:
+        result = parser.parse_args(argv)
+    except SystemExit as exit:
+        result = exit.code
+    printed = capsys.readouterr()
+    return result, printed.out, printed.err
+
+
+class TestPartialParser:
+    """``main`` builds only the subcommand its argv names; every parse,
+    help text and usage error must be the full tree's."""
+
+    ARGVS = [[], ["--help"], ["-h"], ["bogus"], ["--stats"],
+             ["--stats", "--help"], ["--stats", "bogus", "x"],
+             ["--stat", "analyze", "x"], ["--", "analyze", "x"],
+             ["analyze", "x"], ["--stats", "chaos", "x", "--trials", "3"],
+             ["lint", "a.sus", "b.sus", "--strict"],
+             ["compliance", "n", "c", "s", "--reversible"],
+             ["analyze", "x", "--stats"], ["analyze", "x", "--format", "xml"],
+             ["chaos", "x", "--trials", "-1"]] + [
+        argv for command in COMMANDS for argv in (
+            [command, "--help"], ["--stats", command, "-h"], [command],
+            [command, "x", "--bogus"], [command, "x", "y", "z", "w"])]
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+    def test_matches_the_full_tree(self, argv, capsys):
+        partial = _parse(build_parser(_invoked(argv)), argv, capsys)
+        assert partial == _parse(build_parser(), argv, capsys)
+
+    def test_commands_are_the_full_trees(self):
+        subcommands = next(action for action in build_parser()._actions
+                           if isinstance(action, argparse._SubParsersAction))
+        assert tuple(subcommands.choices) == COMMANDS
+
+    def test_only_the_invoked_subcommand_is_built(self):
+        subcommands = next(
+            action for action in build_parser("verify")._actions
+            if isinstance(action, argparse._SubParsersAction))
+        assert tuple(subcommands.choices) == ("verify",)

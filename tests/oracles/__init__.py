@@ -1,0 +1,10 @@
+"""Recursive, tree-walking versions of the passes ``repro`` runs as
+iterative folds over a term's DAG (:func:`repro.core.syntax.fold`).
+
+They are the passes as they were before the folds: the label analysis
+over its worklist fixpoint solver, the well-formedness check, the
+projection and the pretty printer.  The differential suite
+(:mod:`tests.property.test_prop_folds`) compares each fold with its
+oracle exactly.  They recurse once per nesting level, so they only take
+terms of moderate depth.
+"""

@@ -53,12 +53,6 @@ class TestMayMust:
         assert analysis.must == frozenset()
         assert analysis.diverging
 
-    def test_widening_declares_everything_possible(self):
-        exact = analyse_labels(LOOP)
-        widened = analyse_labels(LOOP, widen_height=0, widen_after=0)
-        assert exact.may <= widened.may
-        assert widened.may == widened.universe
-
     def test_covers_refutes_impossible_labels(self):
         analysis = analyse_labels(seq(send("a"), receive("b")))
         assert analysis.covers(Send("a"))

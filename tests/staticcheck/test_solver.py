@@ -1,8 +1,9 @@
-"""Unit tests for the generic worklist fixpoint solver."""
+"""Unit tests for the worklist fixpoint solver under the recursive label
+oracle (:mod:`tests.oracles.labels`)."""
 
 import pytest
 
-from repro.staticcheck.solver import Equation, PowersetLattice, solve
+from tests.oracles.solver import Equation, PowersetLattice, solve
 
 
 def reachability_system(edges, start):
