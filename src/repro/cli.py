@@ -132,8 +132,8 @@ def load_module(path: str | Path) -> Module:
 def _load_module(path: str | Path) -> Module:
     if Path(path).suffix != ".toml":
         from repro.lang.module import parse_module
-        with open(path, "r", encoding="utf-8") as handle:
-            source = handle.read()
+        # Read as text mode reads: "\r\n" and a lone "\r" end lines.
+        source = _read_text(path).replace("\r\n", "\n").replace("\r", "\n")
         try:
             return parse_module(source, path=str(path))
         except ParseError as error:
@@ -154,34 +154,90 @@ def load_network(path: str | Path) -> NetworkFile:
     return _load_toml(Path(path))
 
 
+def _read_text(path: str | Path) -> str:
+    """The UTF-8 text of *path*; any other bytes are an input error."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as error:
+        raise ReproError(f"{path}: invalid UTF-8: {error.reason} at byte "
+                         f"offset {error.start}") from None
+
+
 def _load_toml(path: Path) -> NetworkFile:
-    with open(path, "rb") as handle:
-        try:
-            data = tomllib.load(handle)
-        except tomllib.TOMLDecodeError as error:
-            raise ReproError(f"{path}: invalid TOML: {error}") from error
+    try:
+        data = tomllib.loads(_read_text(path))
+    except tomllib.TOMLDecodeError as error:
+        raise ReproError(f"{path}: invalid TOML: {error}") from error
 
     policies: dict[str, Policy] = {}
-    for name, spec in data.get("policies", {}).items():
+    for entry, name, spec in _toml_tables(path, data, "policies"):
         schema_name = spec.get("schema")
-        if schema_name not in SCHEMAS:
+        if not isinstance(schema_name, str) or schema_name not in SCHEMAS:
             raise ReproError(
-                f"policy {name!r}: unknown schema {schema_name!r} "
+                f"{path}: {entry}: unknown schema {schema_name!r} "
                 f"(known: {', '.join(sorted(SCHEMAS))})")
-        factory = SCHEMAS[schema_name]
         ctor_args = spec.get("schema_args", [])
-        automaton = factory(*ctor_args)
         instantiation = spec.get("args", {})
-        policies[name] = automaton.instantiate(**instantiation)
+        if not isinstance(ctor_args, list):
+            raise ReproError(f"{path}: {entry}: schema_args must be an "
+                             f"array, not {_toml_type(ctor_args)}")
+        if not isinstance(instantiation, dict):
+            raise ReproError(f"{path}: {entry}: args must be a table, "
+                             f"not {_toml_type(instantiation)}")
+        try:
+            automaton = SCHEMAS[schema_name](*ctor_args)
+        except (TypeError, ValueError) as error:
+            # A wrong number or kind of schema arguments.
+            raise ReproError(f"{path}: {entry}: bad schema_args for schema "
+                             f"{schema_name!r}: {error}") from None
+        try:
+            policies[name] = automaton.instantiate(**instantiation)
+        except ReproError as error:
+            raise ReproError(f"{path}: {entry}: {error}") from None
+        try:
+            # Terms key their policies by value.
+            hash(policies[name])
+        except TypeError as error:
+            # A table, or an array holding one, among the args.
+            raise ReproError(f"{path}: {entry}: args: {error}") from None
 
     def parse_section(section: str) -> dict[str, HistoryExpression]:
         terms: dict[str, HistoryExpression] = {}
-        for name, spec in data.get(section, {}).items():
-            terms[name] = parse(spec["term"], policies=policies)
+        for entry, name, spec in _toml_tables(path, data, section):
+            term = spec.get("term")
+            if not isinstance(term, str):
+                raise ReproError(
+                    f"{path}: {entry}: missing term" if term is None else
+                    f"{path}: {entry}: term must be a string, not "
+                    f"{_toml_type(term)}")
+            terms[name] = parse(term, policies=policies)
         return terms
 
     return NetworkFile(policies, parse_section("services"),
                        parse_section("clients"))
+
+
+def _toml_tables(path: Path, data: dict, section: str):
+    """``(entry, name, table)`` for each ``[section.name]`` table; any
+    other shape is an input error naming the entry."""
+    tables = data.get(section, {})
+    if not isinstance(tables, dict):
+        raise ReproError(f"{path}: {section}: must be a table, not "
+                         f"{_toml_type(tables)}")
+    for name, spec in tables.items():
+        entry = f"{section}.{name}"
+        if not isinstance(spec, dict):
+            raise ReproError(f"{path}: {entry}: must be a table, not "
+                             f"{_toml_type(spec)}")
+        yield entry, name, spec
+
+
+def _toml_type(value: object) -> str:
+    """The TOML name of *value*'s type."""
+    names = {bool: "a boolean", int: "an integer", float: "a float",
+             str: "a string", list: "an array", dict: "a table"}
+    return names.get(type(value), "a date or time")
 
 
 def _cmd_check(args: argparse.Namespace) -> int:

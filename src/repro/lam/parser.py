@@ -66,10 +66,10 @@ def parse_program(source: str,
 
 
 class _LamParser:
-    def __init__(self, tokens: list[Token],
-                 policies: dict[str, object]) -> None:
+    def __init__(self, tokens: list[Token], policies: dict[str, object],
+                 start: int = 0) -> None:
         self._tokens = tokens
-        self._index = 0
+        self._index = start
         self._policies = policies
 
     # -- token plumbing ------------------------------------------------

@@ -2,22 +2,38 @@
 
 Token kinds:
 
-``IDENT``    identifiers (``[A-Za-z_][A-Za-z0-9_]*``), with the keywords
-             ``eps``, ``mu``, ``open``, ``with``, ``frame`` split out;
-``INT`` / ``FLOAT`` / ``STRING`` literals (strings in double quotes);
+``IDENT``    identifiers: a ``str.isalpha`` character or ``_``, then any
+             ``str.isalnum`` characters or ``_`` (so ``é`` and ``λ``
+             start identifiers, and ``²`` continues one but cannot start
+             one), with the keywords ``eps``, ``mu``, ``open``, ``with``,
+             ``frame`` split out;
+``INT`` / ``FLOAT`` decimal numbers (``str.isdecimal`` digits, an
+             optional leading ``-`` and dots; a number with a dot is a
+             ``FLOAT``, one with two dots is an error);
+``STRING``   double-quoted text on one line, without escapes;
 punctuation ``@ ! ? . ; , ( ) { } = : | ->``, the external-choice
 operator ``+`` and the internal-choice operator ``++`` (``=`` appears in
 module declarations, :mod:`repro.lang.module`; ``: | ->`` in λ-programs,
 :mod:`repro.lam.parser`).
 
-``#`` starts a comment running to the end of the line.  Every token
-carries its 1-based line/column for error reporting.
+``#`` starts a comment running to the end of the line.  Only ``\\n``
+ends a line; space, tab and ``\\r`` are blanks, and any other character
+is an error.  Every token carries its 1-based line/column for error
+reporting.
+
+One compiled regex (:data:`_TOKEN`) is run by ``finditer`` over each
+line; its groups say which kind of token matched.  Its last alternative
+takes any other non-blank character, so no character is skipped and
+each error is raised at the character the error is about.  The
+character-by-character loop this replaced is the differential oracle in
+``tests/oracles/lexer.py``.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Iterator
+from typing import NamedTuple
 
 from repro.core.errors import ParseError
 
@@ -61,9 +77,13 @@ class Span:
         return f"{self.line}:{self.column}"
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
-    """One lexical token with its source position."""
+class Token(NamedTuple):
+    """One lexical token with its source position.
+
+    A named tuple, so it is immutable, compares and hashes by its four
+    fields, and costs one tuple to build: a module has thousands of
+    tokens, and a frozen dataclass cost four times as much per token.
+    """
 
     kind: str
     text: str
@@ -79,86 +99,63 @@ class Token:
         return f"{self.kind}({self.text!r})@{self.line}:{self.column}"
 
 
+#: The kind of each keyword and symbol; any other identifier is IDENT.
+_KINDS = {**{word: word.upper() for word in KEYWORDS},
+          **{symbol: symbol for symbol in SYMBOLS}}
+
+#: One token, after any blanks.  Exactly one group takes part in a
+#: match, and its number says what was found.
+_TOKEN = re.compile(r"""
+    [ \t\r]*
+    (?:
+        ([A-Za-z_]\w*|""" + "|".join(map(re.escape, SYMBOLS)) + r""")
+                        # 1: an ASCII-initial name, or a symbol
+      | (-?\d[\d.]*)    # 2: a number
+      | "([^"]*)"       # 3: a string's text
+      | ([^\W\d]\w*)    # 4: another name, or a digit such as '²'
+      | (\#)            # 5: a comment
+      | ([^ \t\r])      # 6: any other character: an error
+    )""", re.VERBOSE)
+
+_NAME, _NUMBER, _STRING, _OTHER_NAME, _COMMENT = 1, 2, 3, 4, 5
+
+
 def tokenize(source: str) -> list[Token]:
     """Tokenize *source*, appending a final ``EOF`` token."""
-    return list(_tokens(source))
-
-
-def _tokens(source: str) -> Iterator[Token]:
-    line = 1
-    column = 1
-    index = 0
-    length = len(source)
-
-    def error(message: str) -> ParseError:
-        return ParseError(message, line, column)
-
-    while index < length:
-        char = source[index]
-        if char == "\n":
-            index += 1
-            line += 1
-            column = 1
-            continue
-        if char in " \t\r":
-            index += 1
-            column += 1
-            continue
-        if char == "#":
-            while index < length and source[index] != "\n":
-                index += 1
-            continue
-        if char == '"':
-            start_line, start_column = line, column
-            end = index + 1
-            while end < length and source[end] != '"':
-                if source[end] == "\n":
-                    raise ParseError("unterminated string literal",
-                                     start_line, start_column)
-                end += 1
-            if end >= length:
-                raise ParseError("unterminated string literal",
-                                 start_line, start_column)
-            text = source[index + 1:end]
-            yield Token("STRING", text, start_line, start_column)
-            column += end + 1 - index
-            index = end + 1
-            continue
-        # Decimal digits only: int() rejects other digits, such as "²".
-        if char.isdecimal() or (char == "-" and index + 1 < length
-                                and source[index + 1].isdecimal()):
-            start_line, start_column = line, column
-            end = index + 1
-            while end < length and (source[end].isdecimal()
-                                    or source[end] == "."):
-                end += 1
-            text = source[index:end]
-            kind = "FLOAT" if "." in text else "INT"
-            if text.count(".") > 1:
-                raise ParseError(f"malformed number {text!r}",
-                                 start_line, start_column)
-            yield Token(kind, text, start_line, start_column)
-            column += end - index
-            index = end
-            continue
-        if char.isalpha() or char == "_":
-            start_line, start_column = line, column
-            end = index + 1
-            while end < length and (source[end].isalnum()
-                                    or source[end] == "_"):
-                end += 1
-            text = source[index:end]
-            kind = text.upper() if text in KEYWORDS else "IDENT"
-            yield Token(kind, text, start_line, start_column)
-            column += end - index
-            index = end
-            continue
-        for symbol in SYMBOLS:
-            if source.startswith(symbol, index):
-                yield Token(symbol, symbol, line, column)
-                index += len(symbol)
-                column += len(symbol)
+    tokens: list[Token] = []
+    append = tokens.append
+    new = tuple.__new__
+    kind_of = _KINDS.get
+    line = column = 1
+    for line, text in enumerate(source.split("\n"), 1):
+        # The EOF token sits past the last line, or at its comment.
+        column = len(text) + 1
+        for match in _TOKEN.finditer(text):
+            group = match.lastindex
+            word = match[group]
+            start = match.start(group) + 1
+            if group == _NAME:
+                append(new(Token, (kind_of(word, "IDENT"), word, line,
+                                   start)))
+            elif group == _NUMBER:
+                dots = word.count(".")
+                if dots > 1:
+                    raise ParseError(f"malformed number {word!r}",
+                                     line, start)
+                append(new(Token, ("FLOAT" if dots else "INT", word, line,
+                                   start)))
+            elif group == _STRING:
+                append(new(Token, ("STRING", word, line, start - 1)))
+            elif group == _OTHER_NAME and word[0].isalpha():
+                append(new(Token, ("IDENT", word, line, start)))
+            elif group == _COMMENT:
+                column = start
                 break
-        else:
-            raise error(f"unexpected character {char!r}")
-    yield Token("EOF", "", line, column)
+            # Group 6, or group 4 starting with a non-letter such as '²'.
+            elif word == '"':
+                raise ParseError("unterminated string literal", line, start)
+            else:
+                raise ParseError(f"unexpected character {word[0]!r}",
+                                 line, start)
+    append(new(Token, ("EOF", "", line, column)))
+    return tokens

@@ -55,7 +55,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-from repro.core.errors import ParseError, ReproError
+from repro.core.errors import (ParseError, PolicyDefinitionError,
+                               ReproError)
 from repro.core.syntax import HistoryExpression
 from repro.core.wellformed import check_well_formed
 from repro.lang.lexer import Span, Token, tokenize
@@ -190,21 +191,27 @@ def parse_module(source: str,
         # The body runs to the next brace-balanced declaration header.
         end = index
         depth = 0
-        while tokens[end].kind != "EOF":
-            if tokens[end].kind in ("{", "("):
+        kind_at_end = tokens[end].kind
+        while kind_at_end != "EOF":
+            if kind_at_end == "{" or kind_at_end == "(":
                 depth += 1
-            elif tokens[end].kind in ("}", ")"):
+            elif kind_at_end == "}" or kind_at_end == ")":
                 depth -= 1
-            elif depth == 0 and end > index \
-                    and _starts_declaration(tokens, end):
+            elif (depth == 0 and kind_at_end == "IDENT" and end > index
+                  and _starts_declaration(tokens, end)):
                 break
             end += 1
-        body = tuple(tokens[index:end]) + (_eof_like(tokens[end]),)
+            kind_at_end = tokens[end].kind
+        # The body is parsed in place, with an EOF standing in for the
+        # next header; the declaration keeps the one copy of its tokens.
+        header = tokens[end]
+        tokens[end] = _eof_like(header)
         value = _parse_declaration(module, registry, kind, name_token.text,
-                                   list(body))
+                                   tokens, index)
+        tokens[end] = header
         module.declarations.append(
             Declaration(kind, name_token.text, name_token.span, value,
-                        body[1:-1]))
+                        tuple(tokens[index + 1:end])))
         index = end
     return module
 
@@ -234,14 +241,15 @@ def _eof_like(token: Token) -> Token:
 
 
 def _parse_declaration(module: Module, registry, kind: str, name: str,
-                       body: list[Token]) -> object:
-    """Parse one declaration body into *module*; returns the parsed
+                       tokens: list[Token], start: int) -> object:
+    """Parse the declaration body that starts at ``tokens[start]`` (its
+    ``=``) and ends at the next EOF into *module*; returns the parsed
     value (a policy or a history expression) for the declaration
     record."""
     if kind.startswith("program-"):
         from repro.lam.infer import extract
         from repro.lam.parser import _LamParser
-        parser = _LamParser(body, module.policies)
+        parser = _LamParser(tokens, module.policies, start)
         token = parser.peek()
         if token.kind != "=":
             raise ParseError("expected '=' after the declaration name",
@@ -255,7 +263,7 @@ def _parse_declaration(module: Module, registry, kind: str, name: str,
         else:
             module.services[name] = effect
         return effect
-    parser = _ModuleParser(body, module.policies)
+    parser = _ModuleParser(tokens, module.policies, start)
     parser.expect_equals()
     if kind == "policy":
         policy = parser.policy_value(registry)
@@ -308,7 +316,12 @@ class _ModuleParser(_Parser):
             raise ParseError(
                 f"bad arguments to policy schema {schema_token.text!r}: "
                 f"{error}", schema_token.line, schema_token.column) from None
-        return automaton.instantiate(**named)
+        try:
+            return automaton.instantiate(**named)
+        except PolicyDefinitionError as error:
+            # Missing or unexpected named arguments.
+            raise ParseError(str(error), schema_token.line,
+                             schema_token.column) from None
 
     def _argument(self, positional: list, named: dict) -> None:
         token = self.peek()

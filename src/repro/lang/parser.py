@@ -54,13 +54,21 @@ def parse(source: str,
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token],
-                 policies: dict[str, object]) -> None:
+    def __init__(self, tokens: list[Token], policies: dict[str, object],
+                 start: int = 0) -> None:
         self._tokens = tokens
-        self._index = 0
+        self._index = start
         self._policies = policies
+        # One label per channel and direction: labels are values, and
+        # the term tables key them by value.
+        self._sends: dict[str, Send] = {}
+        self._receives: dict[str, Receive] = {}
 
     # -- token plumbing -----------------------------------------------------
+    #
+    # The grammar methods on the hot path (expr, term, _prefix, _choice)
+    # read ``self._tokens[self._index]`` directly.  No token past EOF is
+    # ever read: EOF is last, and nothing steps over it.
 
     def peek(self) -> Token:
         return self._tokens[self._index]
@@ -89,49 +97,49 @@ class _Parser:
         appear (event names, channels, request ids, …)."""
         token = self.peek()
         if token.kind not in self._NAME_KINDS:
-            raise ParseError(f"expected an identifier, found {token.kind} "
-                             f"({token.text!r})", token.line, token.column)
+            raise _not_a_name(token)
         return self.advance()
 
     # -- grammar ------------------------------------------------------------
 
     def expr(self) -> HistoryExpression:
+        tokens = self._tokens
         parts = [self.term()]
-        while self.peek().kind == ";":
-            self.advance()
+        while tokens[self._index].kind == ";":
+            self._index += 1
             parts.append(self.term())
         return seq(*parts)
 
     def term(self) -> HistoryExpression:
-        token = self.peek()
-        if token.kind == "EPS":
-            self.advance()
-            return EPSILON
-        if token.kind == "IDENT":
-            self.advance()
-            return Var(token.text)
-        if token.kind == "@":
-            return self._event()
-        if token.kind in ("!", "?"):
-            label, continuation = self._prefix()
-            if isinstance(label, Send):
-                return InternalChoice(((label, continuation),))
-            return ExternalChoice(((label, continuation),))
-        if token.kind == "(":
+        token = self._tokens[self._index]
+        kind = token.kind
+        if kind == "!":
+            return InternalChoice((self._prefix(),))
+        if kind == "?":
+            return ExternalChoice((self._prefix(),))
+        if kind == "(":
             return self._choice()
-        if token.kind == "MU":
-            return self._mu()
-        if token.kind == "OPEN":
+        if kind == "@":
+            return self._event()
+        if kind == "IDENT":
+            self._index += 1
+            return Var(token.text)
+        if kind == "EPS":
+            self._index += 1
+            return EPSILON
+        if kind == "OPEN":
             return self._open()
-        if token.kind == "FRAME":
+        if kind == "MU":
+            return self._mu()
+        if kind == "FRAME":
             return self._frame()
-        if token.kind == "{":
-            self.advance()
+        if kind == "{":
+            self._index += 1
             inner = self.expr()
             self.expect("}")
             return inner
         raise self.error(f"expected a history expression, found "
-                         f"{token.kind} ({token.text!r})")
+                         f"{kind} ({token.text!r})")
 
     def _event(self) -> HistoryExpression:
         self.expect("@")
@@ -160,31 +168,51 @@ class _Parser:
         raise self.error(f"expected a literal, found {token.kind}")
 
     def _prefix(self) -> tuple[Send | Receive, HistoryExpression]:
-        token = self.advance()
-        channel = self.expect_name().text
-        label: Send | Receive = (Send(channel) if token.kind == "!"
-                                 else Receive(channel))
-        continuation: HistoryExpression = EPSILON
-        if self.peek().kind == ".":
-            self.advance()
-            continuation = self.term()
-        return label, continuation
+        """A sigil, a channel and an optional ``. term``.  Only ``!``
+        makes an output: after a choice operator, any token in the
+        sigil's place reads as ``?``."""
+        tokens = self._tokens
+        index = self._index
+        sigil = tokens[index].kind
+        if sigil != "EOF":
+            index += 1
+        name = tokens[index]
+        if name.kind not in self._NAME_KINDS:
+            raise _not_a_name(name)
+        channel = name.text
+        if sigil == "!":
+            label = self._sends.get(channel)
+            if label is None:
+                label = self._sends[channel] = Send(channel)
+        else:
+            label = self._receives.get(channel)
+            if label is None:
+                label = self._receives[channel] = Receive(channel)
+        if tokens[index + 1].kind == ".":
+            self._index = index + 2
+            return label, self.term()
+        self._index = index + 1
+        return label, EPSILON
 
     def _choice(self) -> HistoryExpression:
-        open_paren = self.expect("(")
-        if self.peek().kind not in ("!", "?"):
+        tokens = self._tokens
+        open_paren = tokens[self._index]
+        self._index += 1
+        if tokens[self._index].kind not in ("!", "?"):
             raise self.error("a choice must start with a '!' or '?' prefix")
         branches = [self._prefix()]
         operator: str | None = None
-        while self.peek().kind in ("+", "++"):
-            token = self.advance()
+        token = tokens[self._index]
+        while token.kind == "+" or token.kind == "++":
             if operator is None:
                 operator = token.kind
             elif operator != token.kind:
                 raise ParseError("cannot mix '+' (external) and '++' "
                                  "(internal) in one choice",
                                  token.line, token.column)
+            self._index += 1
             branches.append(self._prefix())
+            token = tokens[self._index]
         self.expect(")")
 
         kinds = {type(label) for label, _ in branches}
@@ -239,3 +267,8 @@ class _Parser:
             raise ParseError(f"unknown policy {token.text!r} (not in the "
                              "parse environment)", token.line,
                              token.column) from None
+
+
+def _not_a_name(token: Token) -> ParseError:
+    return ParseError(f"expected an identifier, found {token.kind} "
+                      f"({token.text!r})", token.line, token.column)

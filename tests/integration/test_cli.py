@@ -421,3 +421,86 @@ class TestPartialParser:
             action for action in build_parser("verify")._actions
             if isinstance(action, argparse._SubParsersAction))
         assert tuple(subcommands.choices) == ("verify",)
+
+
+def _check(path):
+    """``repro check PATH`` in a fresh interpreter."""
+    return subprocess.run(
+        [sys.executable, "-m", "repro.cli", "check", str(path)],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+
+
+def _assert_one_error_line(result, prefix):
+    assert result.returncode == 2, result.stdout
+    assert "Traceback" not in result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1, result.stderr
+    assert lines[0].startswith(prefix), lines[0]
+
+
+#: TOML files whose shape the loader once took for granted.
+CRASH_TOML = sorted((ROOT / "tests" / "lang" / "fixtures").glob(
+    "crash_toml_*.toml"))
+
+
+class TestMalformedInput:
+    """A file that is not UTF-8, or a TOML entry of the wrong shape, is
+    an input error: exit 2 and one ``error:`` line naming the file (and
+    the entry), never a traceback."""
+
+    def test_sus_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "bad.sus"
+        path.write_bytes(b"service s = ?a \xff\n")
+        _assert_one_error_line(
+            _check(path),
+            f"error: {path}: invalid UTF-8: invalid start byte at byte "
+            f"offset 15")
+
+    def test_toml_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "bad.toml"
+        path.write_bytes(b'x = "\xff"\n')
+        _assert_one_error_line(
+            _check(path),
+            f"error: {path}: invalid UTF-8: invalid start byte at byte "
+            f"offset 5")
+
+    def test_line_endings_read_as_in_text_mode(self, tmp_path, capsys):
+        # "\r\n" and a lone "\r" both end a line, as text-mode reads do.
+        path = tmp_path / "crlf.sus"
+        path.write_bytes(b"service s = ?a\r\nservice t =\r!b . ?")
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}:3:7: expected an identifier, found EOF ('')\n")
+
+    @pytest.mark.parametrize("path", CRASH_TOML, ids=lambda path: path.name)
+    def test_pinned_toml_shape(self, path):
+        entry = {"crash_toml_args_table.toml": "policies.p",
+                 "crash_toml_entry_not_table.toml": "services.s",
+                 "crash_toml_missing_term.toml": "services.s",
+                 "crash_toml_schema_arity.toml": "policies.p"}[path.name]
+        _assert_one_error_line(_check(path), f"error: {path}: {entry}: ")
+
+    @pytest.mark.parametrize("text, message", [
+        ("services = 3\n", "services: must be a table, not an integer"),
+        ('[services.s]\nterm = 3\n',
+         "services.s: term must be a string, not an integer"),
+        ('[policies.p]\nschema = ["hotel"]\n',
+         "policies.p: unknown schema ['hotel']"),
+        ('[policies.p]\nschema = "forbid"\nschema_args = "boom"\n',
+         "policies.p: schema_args must be an array, not a string"),
+        ('[policies.p]\nschema = "hotel"\nargs = [1]\n',
+         "policies.p: args must be a table, not an array"),
+        ('[policies.p]\nschema = "hotel"\n'
+         'args = { bl = [1], phi1 = 45, t = 100 }\n',
+         "policies.p: instantiation of phi: missing ['p'], "
+         "unexpected ['phi1']"),
+    ], ids=["section", "term-type", "schema-type", "schema-args-type",
+            "args-type", "instantiation"])
+    def test_toml_shapes(self, tmp_path, capsys, text, message):
+        path = tmp_path / "net.toml"
+        path.write_text(text)
+        assert main(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {message}")
+        assert err.count("\n") == 1

@@ -90,6 +90,14 @@ class TestPolicyDeclarations:
         with pytest.raises(ParseError, match="unknown policy schema"):
             parse_module("policy phi = made_up()")
 
+    def test_instantiation_error_is_at_the_schema_name(self):
+        with pytest.raises(ParseError) as caught:
+            parse_module("policy p = hotel(bl = {1}, phi1 = 45, t = 100)")
+        error = caught.value
+        assert (error.line, error.column) == (1, 12)
+        assert error.message == ("instantiation of phi: missing ['p'], "
+                                 "unexpected ['phi1']")
+
     def test_custom_registry(self):
         from repro.policies.library import forbid_automaton
         module = parse_module("policy x = nope(boom)",
