@@ -16,8 +16,9 @@ process and records their ratio:
   compiled search reported separately and verdict agreement asserted
   across all deciders, on compliant pairs and on non-compliant pairs
   with deep and shallow counterexamples;
-* **S2** — plan synthesis: ``find_valid_plans`` with memoisation and
-  pruning off vs on, asserting the valid/invalid partitions agree;
+* **S2** — plan synthesis: the unmemoised pass of
+  ``tests/oracles/planner.py`` (no shared compliance cache, no pruning)
+  vs ``find_valid_plans``, asserting the valid/invalid partitions agree;
 * **S3** — validity: the declarative checker vs the incremental
   ``ValidityMonitor`` plus monitor snapshots (``copy``);
 * **S4** — registry discovery: a signature-indexed
@@ -59,7 +60,7 @@ from pathlib import Path
 
 _HERE = Path(__file__).resolve().parent
 _ROOT = _HERE.parent
-for entry in (str(_ROOT / "src"), str(_HERE)):
+for entry in (str(_ROOT), str(_ROOT / "src"), str(_HERE)):
     if entry not in sys.path:
         sys.path.insert(0, entry)
 
@@ -76,6 +77,7 @@ from repro.observability import (metrics_snapshot,  # noqa: E402
                                  reset_cache_stats, telemetry_session)
 from repro.policies.library import at_most  # noqa: E402
 
+from tests.oracles import planner as unmemoised  # noqa: E402
 from workloads import (almost_compliant_server, chain_client,  # noqa: E402
                        wide_client, wide_server, worker_pool)
 
@@ -270,14 +272,11 @@ def run_s2(quick: bool, repeats: int) -> dict:
         client = chain_client(requests)
         repo = worker_pool(services, defective_every=3)
         eager = _measure(
-            lambda: find_valid_plans(client, repo, memoize=False,
-                                     prune=False),
-            repeats)
+            lambda: unmemoised.find_valid_plans(client, repo), repeats)
         memoized = _measure(
             lambda: find_valid_plans(client, repo), repeats)
         _clear_caches()
-        baseline = find_valid_plans(client, repo, memoize=False,
-                                    prune=False)
+        baseline = unmemoised.find_valid_plans(client, repo)
         fast = find_valid_plans(client, repo)
         assert _partition(baseline) == _partition(fast), \
             "memoised planner changed the valid/invalid partition"

@@ -300,30 +300,26 @@ class PlannerResult:
 
 def find_valid_plans(client: HistoryExpression, repository: Repository,
                      candidates=None, location: str = "client",
-                     max_plans: int | None = None, *,
-                     memoize: bool = True,
-                     prune: bool | None = None) -> PlannerResult:
+                     max_plans: int | None = None) -> PlannerResult:
     """Enumerate and analyse plans for *client*, separating the valid
     ones — the viable orchestrations of Section 5.
 
     *max_plans* bounds the number of candidates analysed (``None`` for
     all).
 
-    *memoize* (default on) shares one :class:`ComplianceCache` across all
-    candidates, so each distinct ``(request body, service)`` pair is
-    decided once.  *prune* (defaults to *memoize*) short-circuits the
-    analysis of any plan containing a binding already known to fail
-    compliance — such a plan skips even its compliance walk and never
-    reaches the security model checker.  The shortcut covers only
-    request ids opened with one body in the client and every service;
-    a plan binding a reused id is analysed with ``prune=True``, which
-    stops at its first failing occurrence.  Neither knob changes the
-    valid/invalid partition: pruned plans are still enumerated and
-    reported invalid, carrying the failing check.
+    One :class:`ComplianceCache` is shared across all candidates, so each
+    distinct ``(request body, service)`` pair is decided once.  A plan
+    containing a binding already known to fail compliance is pruned: it
+    skips even its compliance walk and never reaches the security model
+    checker.  The shortcut covers only request ids opened with one body
+    in the client and every service; a plan binding a reused id is
+    analysed with ``prune=True``, which stops at its first failing
+    occurrence.  Neither changes the valid/invalid partition: pruned
+    plans are still enumerated and reported invalid, carrying the
+    failing check.  The test suite's unmemoised pass
+    (``tests/oracles/planner.py``) is the oracle for that partition.
     """
-    if prune is None:
-        prune = memoize
-    cache = ComplianceCache() if memoize else None
+    cache = ComplianceCache()
     plans = enumerate_plans(client, repository, candidates)
     if max_plans is not None:
         plans = itertools.islice(plans, max_plans)
@@ -335,31 +331,29 @@ def find_valid_plans(client: HistoryExpression, repository: Repository,
     #: bindings, so plans binding one are analysed occurrence by
     #: occurrence.
     bad_bindings: dict[tuple[str, str], ComplianceCheck] = {}
-    one_body = _single_body_requests(client, repository) if prune else ()
+    one_body = _single_body_requests(client, repository)
 
     def analyse(plan: Plan) -> PlanAnalysis:
-        if prune:
-            for binding in plan.items():
-                known = bad_bindings.get(binding)
-                if known is not None:
-                    # Every plan containing a failed binding is invalid;
-                    # reuse the verdict without re-walking the plan.
-                    return PlanAnalysis(plan, (known,),
-                                        SecurityReport.skipped_report())
+        for binding in plan.items():
+            known = bad_bindings.get(binding)
+            if known is not None:
+                # Every plan containing a failed binding is invalid;
+                # reuse the verdict without re-walking the plan.
+                return PlanAnalysis(plan, (known,),
+                                    SecurityReport.skipped_report())
         tel = _telemetry.active()
         if tel is None:
             analysis = analyze_plan(client, plan, repository, location,
-                                    cache=cache, prune=prune)
+                                    cache=cache, prune=True)
         else:
             start = perf_counter()
             analysis = analyze_plan(client, plan, repository, location,
-                                    cache=cache, prune=prune)
+                                    cache=cache, prune=True)
             tel.metrics.histogram("planner.analyze_seconds").observe(
                 perf_counter() - start)
-        if prune:
-            for check in analysis.compliance:
-                if not check.compliant and check.request in one_body:
-                    bad_bindings[(check.request, check.location)] = check
+        for check in analysis.compliance:
+            if not check.compliant and check.request in one_body:
+                bad_bindings[(check.request, check.location)] = check
         return analysis
 
     def collect() -> PlannerResult:
@@ -377,9 +371,9 @@ def find_valid_plans(client: HistoryExpression, repository: Repository,
                                + len(result.invalid_plans)),
             "plans_valid": len(result.valid_plans),
             "plans_pruned": pruned,
-            "memo_hits": cache.hits if cache is not None else 0,
-            "memo_misses": cache.misses if cache is not None else 0,
-            "distinct_bindings": len(cache) if cache is not None else 0,
+            "memo_hits": cache.hits,
+            "memo_misses": cache.misses,
+            "distinct_bindings": len(cache),
         }
         return result
 

@@ -87,31 +87,25 @@ class NetworkVerdict:
 def verify_client(client: HistoryExpression, repository: Repository,
                   location: str = "client",
                   candidates=None,
-                  max_plans: int | None = None,
-                  memoize: bool = True) -> ClientVerdict:
+                  max_plans: int | None = None) -> ClientVerdict:
     """Verify one client: well-formedness, then plan synthesis with the
-    compliance and security checks.
-
-    *memoize* is forwarded to
-    :func:`~repro.analysis.planner.find_valid_plans`.
-    """
+    compliance and security checks
+    (:func:`~repro.analysis.planner.find_valid_plans`, which decides
+    each distinct binding once)."""
     check_well_formed(client)
     result = find_valid_plans(client, repository, candidates=candidates,
-                              location=location, max_plans=max_plans,
-                              memoize=memoize)
+                              location=location, max_plans=max_plans)
     return ClientVerdict(location, result)
 
 
 def verify_network(clients: dict[str, HistoryExpression],
                    repository: Repository,
                    candidates=None,
-                   max_plans: int | None = None,
-                   memoize: bool = True) -> NetworkVerdict:
+                   max_plans: int | None = None) -> NetworkVerdict:
     """Verify a vector of clients (mapping location → behaviour) against
     a shared repository — the full procedure of Section 5."""
     verdicts = tuple(
         verify_client(term, repository, location=location,
-                      candidates=candidates, max_plans=max_plans,
-                      memoize=memoize)
+                      candidates=candidates, max_plans=max_plans)
         for location, term in clients.items())
     return NetworkVerdict(verdicts)

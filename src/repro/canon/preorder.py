@@ -4,11 +4,12 @@
 compliant with server ``H2`` — the server-substitutability preorder of
 Castagna–Gesbert–Padovani, the relation behind contract-based service
 discovery.  The decider here is **exact** for the contracts of this
-calculus, unlike the interpreted
-:func:`repro.contracts.subcontract.subcontract`, whose ready-set
-inclusion test is conservative on external choices (it can reject
-substitutions no client can distinguish; the property suite
-cross-validates that every interpreted ``True`` is confirmed here).
+calculus, and it is the only one: the registry, ``repro registry`` and
+the tests all run it.  A check that every ready set of ``H2`` contains
+one of ``H1`` would be conservative on external choices: it rejects
+substitutions no client can tell apart.  The tests compare this
+decider with the quantified definition over every client of depth two
+and replay each refusal witness on every compliance decider.
 
 Exactness comes from the homogeneous-mode shape of contract states (a
 state's moves are all outputs or all inputs), which collapses the meet

@@ -211,7 +211,10 @@ def _load_toml(path: Path) -> NetworkFile:
                     f"{path}: {entry}: missing term" if term is None else
                     f"{path}: {entry}: term must be a string, not "
                     f"{_toml_type(term)}")
-            terms[name] = parse(term, policies=policies)
+            try:
+                terms[name] = parse(term, policies=policies)
+            except ParseError as error:
+                raise ReproError(f"{path}: {entry}: term: {error}") from None
         return terms
 
     return NetworkFile(policies, parse_section("services"),

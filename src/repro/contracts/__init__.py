@@ -13,11 +13,8 @@ from repro.contracts.contract import (Contract, clear_contract_caches,
 from repro.contracts.lts import LTS, build_lts
 from repro.contracts.product import (ProductAutomaton, ProductSearch,
                                      build_product, search_product)
-from repro.contracts.subcontract import (equivalent, subcontract,
-                                         substitutable_services)
 
 __all__ = ["Contract", "clear_contract_caches", "contract_cache_stats",
            "LTS", "build_lts",
            "ProductAutomaton", "ProductSearch", "build_product",
-           "search_product", "equivalent", "subcontract",
-           "substitutable_services"]
+           "search_product"]

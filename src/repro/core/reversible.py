@@ -1,5 +1,5 @@
-"""Reversible sessions: checkpointed choices, rollback, and the
-reversible compliance relation.
+"""Reversible compliance: the relation under which a client may roll a
+choice back.
 
 The ordinary compliance relation (Definition 4 / Theorem 1) treats every
 synchronisation as irrevocable: a client that commits to a branch whose
@@ -8,35 +8,34 @@ full ready-set inclusion in *every* reachable pair.  Following
 *Compliance for reversible client/server interactions* (PAPERS.md), this
 module relaxes commitment: a choice is **checkpointed** when taken, and
 a stuck continuation may **roll back** to the last checkpoint that still
-has an untried alternative.  Two layers implement that idea:
+has an untried alternative.  Rollback on a running network — checkpoints
+on components, histories rewound to a valid prefix — is
+:mod:`repro.resilience.checkpoints`; this module decides the relation.
 
-* :class:`ReversibleSession` — the operational semantics.  A forward
-  synchronisation at a state with several enabled labels pushes a
-  :class:`SessionCheckpoint` (the pair, the untried alternatives, the
-  trace length); :meth:`ReversibleSession.rollback` pops to the nearest
-  checkpoint with untried alternatives and restricts the next choice to
-  them.  The recorded trace is *rewound to a prefix* on rollback — the
-  invariant the resilience layer inherits: histories remain valid
-  prefixes across rewinds.
+A pair is **reversibly compliant** when the client has a rollback-backed
+strategy to reach termination however the other side resolves its
+nondeterminism.  :func:`check_reversible` decides it as the complement
+of a *doom* least fixpoint over the synchronisation pair graph (the lfp
+framing of *A Note On Compliance Relations And Fixed Points*,
+PAPERS.md)::
 
-* :func:`check_reversible` — the reversible compliance decider.  A pair
-  is **reversibly compliant** when the client has a rollback-backed
-  strategy to reach termination however the other side resolves its
-  nondeterminism.  Formally it is the complement of a *doom* least
-  fixpoint over the synchronisation pair graph (the lfp framing of
-  *A Note On Compliance Relations And Fixed Points*, PAPERS.md):
+    doomed ::= lfp D. { p | client(p) ≠ ε ∧
+                            ∀ℓ ∈ syncs(p) ∃ p' ∈ succs(p, ℓ): p' ∈ D }
 
-      doomed ::= lfp D. { p | client(p) ≠ ε ∧
-                              ∀ℓ ∈ syncs(p) ∃ p' ∈ succs(p, ℓ): p' ∈ D }
+The system (client + rollback) picks the synchronisation label — an
+untried branch is always recoverable, so the choice is angelic — while
+the adversary resolves which successor pair a label lands in; a pair
+with no synchronisations and a non-terminated client is doomed
+vacuously (nothing left to retract into).  ``H1 ⊢ H2`` in the ordinary
+sense implies reversible compliance (every reachable pair offers a
+matched action, so by induction no lfp stage can claim the initial
+pair); the property suite checks that implication on random contracts.
 
-  The system (client + rollback) picks the synchronisation label — an
-  untried branch is always recoverable, so the choice is angelic — while
-  the adversary resolves which successor pair a label lands in; a pair
-  with no synchronisations and a non-terminated client is doomed
-  vacuously (nothing left to retract into).  ``H1 ⊢ H2`` in the ordinary
-  sense implies reversible compliance (every reachable pair offers a
-  matched action, so by induction no lfp stage can claim the initial
-  pair); the property suite checks that implication on random contracts.
+The pair graph is its own closure, not
+:func:`~repro.contracts.product.explore_product`'s: the game needs the
+successors grouped by label (the label is the system's move), and a
+pair stuck in Definition 5's sense may still synchronise, so the game
+goes on past it where the product BFS stops.
 
 On failure the decider returns a **replayable witness**: the adversary's
 strategy — for every doomed pair, one doomed successor per enabled
@@ -93,127 +92,6 @@ def sync_moves(client_lts: LTS, server_lts: LTS, pair: PairState
         if successors:
             moves[label] = successors
     return moves
-
-
-# -- the operational layer ---------------------------------------------------
-
-@dataclass(frozen=True)
-class SessionCheckpoint:
-    """One checkpointed choice: the pair it was taken at, the labels not
-    yet tried, and the trace length to rewind to."""
-
-    pair: PairState
-    untried: tuple[object, ...]
-    depth: int
-
-
-class ReversibleSession:
-    """Checkpointed forward synchronisation with rollback, over one
-    client/server contract pair.
-
-    The session keeps a **checkpoint stack**: a synchronisation taken at
-    a state with two or more enabled labels pushes the state and its
-    untried alternatives.  When the session is stuck, :meth:`rollback`
-    pops to the nearest checkpoint with an untried alternative and
-    restricts the next choice to exactly those labels — so one branch is
-    never retried twice from the same checkpoint, and the stack shrinks
-    monotonically across rollbacks at the same state.  The recorded
-    ``trace`` is truncated to the checkpoint's prefix on every rewind.
-    """
-
-    def __init__(self, client: HistoryExpression | Contract,
-                 server: HistoryExpression | Contract) -> None:
-        client_c = client if isinstance(client, Contract) else \
-            Contract(client)
-        server_c = server if isinstance(server, Contract) else \
-            Contract(server)
-        self._client_lts = client_c.lts
-        self._server_lts = server_c.lts
-        self.pair: PairState = (client_c.term, server_c.term)
-        #: When not ``None``: the labels the next choice is restricted
-        #: to (the untried alternatives of the restored checkpoint).
-        self.allowed: frozenset | None = None
-        self.stack: list[SessionCheckpoint] = []
-        self.trace: list[PairState] = [self.pair]
-        self.rollbacks = 0
-
-    def is_complete(self) -> bool:
-        """Has the client terminated?  (The asymmetric success condition
-        of Definition 4: the client may walk away mid-server.)"""
-        return is_terminated(self.pair[0])
-
-    def enabled(self) -> tuple[object, ...]:
-        """The labels the session may synchronise on next, in move
-        order, honouring a post-rollback restriction."""
-        labels = tuple(sync_moves(self._client_lts, self._server_lts,
-                                  self.pair))
-        if self.allowed is None:
-            return labels
-        return tuple(label for label in labels if label in self.allowed)
-
-    def sync(self, label) -> PairState:
-        """Take one synchronisation on *label*, checkpointing the choice
-        when alternatives remain (the first successor in move order
-        resolves the adversary's nondeterminism deterministically)."""
-        moves = sync_moves(self._client_lts, self._server_lts, self.pair)
-        alternatives = self.enabled()
-        if label not in alternatives:
-            raise ValueError(f"label {label!r} is not enabled "
-                             f"(enabled: {alternatives!r})")
-        if len(alternatives) >= 2:
-            self.stack.append(SessionCheckpoint(
-                pair=self.pair,
-                untried=tuple(other for other in alternatives
-                              if other != label),
-                depth=len(self.trace)))
-        self.pair = moves[label][0]
-        self.allowed = None
-        self.trace.append(self.pair)
-        return self.pair
-
-    def can_rollback(self) -> bool:
-        return any(checkpoint.untried for checkpoint in self.stack)
-
-    def rollback(self) -> bool:
-        """Rewind to the nearest checkpoint with an untried alternative.
-
-        Restores the checkpointed pair, truncates the trace back to the
-        checkpoint's prefix, and restricts the next choice to the
-        untried labels.  Returns ``False`` when every checkpoint is
-        exhausted (the stack never regrows past this point: rollback is
-        a strict descent).
-        """
-        while self.stack:
-            checkpoint = self.stack.pop()
-            if not checkpoint.untried:
-                continue
-            self.pair = checkpoint.pair
-            self.allowed = frozenset(checkpoint.untried)
-            del self.trace[checkpoint.depth:]
-            self.rollbacks += 1
-            return True
-        return False
-
-    def run(self, max_steps: int = 10_000, chooser=None) -> str:
-        """Drive the session greedily with rollback-on-stuck.
-
-        *chooser* picks among the enabled labels (default: the first).
-        Returns ``"completed"`` (client terminated),
-        ``"exhausted"`` (stuck with every checkpoint tried — on acyclic
-        pair graphs this is exactly non-reversible-compliance) or
-        ``"budget"``.
-        """
-        for _ in range(max_steps):
-            if self.is_complete():
-                return "completed"
-            labels = self.enabled()
-            if not labels:
-                if not self.rollback():
-                    return "exhausted"
-                continue
-            self.sync(chooser(labels) if chooser is not None
-                      else labels[0])
-        return "budget"
 
 
 # -- the decider -------------------------------------------------------------

@@ -168,14 +168,16 @@ class _Parser:
         raise self.error(f"expected a literal, found {token.kind}")
 
     def _prefix(self) -> tuple[Send | Receive, HistoryExpression]:
-        """A sigil, a channel and an optional ``. term``.  Only ``!``
-        makes an output: after a choice operator, any token in the
-        sigil's place reads as ``?``."""
+        """A sigil (``!`` or ``?``), a channel and an optional ``. term``;
+        any other token in the sigil's place is a parse error there."""
         tokens = self._tokens
         index = self._index
-        sigil = tokens[index].kind
-        if sigil != "EOF":
-            index += 1
+        token = tokens[index]
+        sigil = token.kind
+        if sigil != "!" and sigil != "?":
+            raise ParseError(f"expected a '!' or '?' prefix, found {sigil} "
+                             f"({token.text!r})", token.line, token.column)
+        index += 1
         name = tokens[index]
         if name.kind not in self._NAME_KINDS:
             raise _not_a_name(name)
@@ -198,8 +200,6 @@ class _Parser:
         tokens = self._tokens
         open_paren = tokens[self._index]
         self._index += 1
-        if tokens[self._index].kind not in ("!", "?"):
-            raise self.error("a choice must start with a '!' or '?' prefix")
         branches = [self._prefix()]
         operator: str | None = None
         token = tokens[self._index]

@@ -1,7 +1,7 @@
 """Checkpoints and the rollback policy for supervised runs.
 
-The network-level mirror of :mod:`repro.core.reversible`: whenever a
-component fires a transition at a state offering two or more distinct
+Rollback on a running network, the operational side of the relation
+:mod:`repro.core.reversible` decides: whenever a component fires a transition at a state offering two or more distinct
 moves, the supervisor pushes a :class:`Checkpoint` — an immutable
 snapshot of the component (history *and* session tree), its open-session
 target stack, and the set of move keys already tried from that state.

@@ -1,7 +1,10 @@
 """Tests for plan enumeration and the static plan analysis."""
 
+import pytest
+
 from repro.analysis.planner import (analyze_plan, enumerate_plans,
                                     find_valid_plans, unfailing_in_product)
+from repro.analysis.verification import verify_client, verify_network
 from repro.core.plans import Plan
 from repro.core.syntax import (EPSILON, external, receive, request, send,
                                seq)
@@ -112,6 +115,19 @@ class TestFindValidPlans:
         result = find_valid_plans(client, repo)
         assert not result.has_valid_plan
         assert result.best() is None
+
+    def test_memoisation_and_pruning_are_not_options(self, repo, c1):
+        """The shared compliance cache and the pruning always run; the
+        unmemoised pass is the test oracle ``tests/oracles/planner.py``."""
+        calls = (
+            lambda: find_valid_plans(c1, repo, memoize=False),
+            lambda: find_valid_plans(c1, repo, prune=False),
+            lambda: verify_client(c1, repo, memoize=False),
+            lambda: verify_network({"c1": c1}, repo, memoize=False),
+        )
+        for call in calls:
+            with pytest.raises(TypeError, match="memoize|prune"):
+                call()
 
 
 class TestWholeProductProgress:

@@ -19,6 +19,7 @@ import pytest
 from repro.analysis.planner import analyze_plan, find_valid_plans
 from repro.cli import load_module, main
 from repro.core.plans import Plan
+from tests.oracles import planner as oracle
 
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 FIXTURE = str(FIXTURES / "request_id_reuse.sus")
@@ -74,9 +75,8 @@ class TestTwoBodies:
     def test_pruning_keeps_the_valid_plan(self):
         module = load_module(TWO_BODIES)
         client = module.clients["lc"]
-        baseline = find_valid_plans(client, module.repository,
-                                    location="lc", memoize=False,
-                                    prune=False)
+        baseline = oracle.find_valid_plans(client, module.repository,
+                                           location="lc")
         pruned = find_valid_plans(client, module.repository, location="lc")
         assert partition(pruned) == partition(baseline)
         assert [str(a.plan) for a in pruned.valid_plans] == [

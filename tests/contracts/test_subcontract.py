@@ -1,17 +1,30 @@
-"""Tests for the subcontract (server-substitutability) preorder."""
+"""Tests for the subcontract (server-substitutability) preorder, as the
+exact :func:`~repro.canon.preorder.subcontract_preorder` decides it and
+:meth:`~repro.registry.ContractRegistry.find_substitutable` discovers by
+it."""
 
-import itertools
 import random
 
-import pytest
-
+from repro.canon.preorder import preorder_equivalent, subcontract_preorder
 from repro.core.compliance import compliant
 from repro.core.syntax import (EPSILON, Var, event, external, internal, mu,
                                receive, send, seq)
-from repro.contracts.subcontract import (equivalent, refine_violation,
-                                         subcontract,
-                                         substitutable_services)
 from repro.network.repository import Repository
+from repro.registry import ContractRegistry
+
+
+def subcontract(smaller, larger) -> bool:
+    """``smaller ≼ larger``."""
+    return subcontract_preorder(smaller, larger).holds
+
+
+def substitutable_services(advertised, repository) -> tuple[str, ...]:
+    """The locations of *repository* whose contract refines
+    *advertised*, in name order."""
+    registry = ContractRegistry()
+    for location, term in repository.items():
+        registry.add(location, term)
+    return registry.find_substitutable(advertised).matches
 
 
 class TestBasics:
@@ -53,7 +66,7 @@ class TestBasics:
 
     def test_events_are_transparent(self):
         noisy = seq(event("log"), send("a"))
-        assert equivalent(noisy, send("a"))
+        assert preorder_equivalent(noisy, send("a"))
 
 
 class TestRecursion:
@@ -78,14 +91,15 @@ class TestRecursion:
 
 class TestViolationWitness:
     def test_witness_none_on_refinement(self):
-        assert refine_violation(send("a"), send("a")) is None
+        assert subcontract_preorder(send("a"), send("a")).witness is None
 
     def test_witness_path_on_failure(self):
         smaller = receive("go", external(("a", EPSILON)))
         larger = receive("go", external(("b", EPSILON)))
-        path = refine_violation(smaller, larger)
-        assert path is not None
-        assert len(path) == 1  # fails right after the go exchange
+        witness = subcontract_preorder(smaller, larger).witness
+        assert witness is not None
+        assert len(witness.path) == 1  # fails right after the go exchange
+        assert witness.replays()
 
 
 class TestSemanticDefinition:
@@ -145,7 +159,7 @@ class TestDiscovery:
                               ("maybe", EPSILON)),
         })
         assert substitutable_services(advertised, repo) == \
-            ("exact", "better")
+            ("better", "exact")
 
     def test_discovery_preserves_compliance(self):
         advertised = internal(("ok", EPSILON), ("err", EPSILON))

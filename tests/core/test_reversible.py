@@ -1,13 +1,12 @@
-"""Tests for reversible sessions: checkpointed choices, rollback, the
-doom-lfp decider, and its replayable witnesses."""
+"""Tests for reversible compliance: the doom-lfp decider and its
+replayable witnesses."""
 
 import pytest
 
 from repro.contracts.contract import Contract
 from repro.core.compliance import check_compliance, compliant
-from repro.core.reversible import (ReversibleSession, ReversibleWitness,
-                                   check_reversible, reversibly_compliant,
-                                   sync_moves)
+from repro.core.reversible import (ReversibleWitness, check_reversible,
+                                   reversibly_compliant, sync_moves)
 from repro.core.syntax import (EPSILON, Var, external, internal, mu,
                                receive, send)
 
@@ -174,91 +173,6 @@ class TestWitness:
         text = result.witness.describe()
         assert "doomed pair(s)" in text
         assert "rank" in text
-
-
-class TestReversibleSession:
-    def test_straight_line_completion(self):
-        session = ReversibleSession(send("a", receive("b")),
-                                    receive("a", send("b")))
-        assert session.run() == "completed"
-        assert session.rollbacks == 0
-        assert session.stack == []
-
-    def test_choice_pushes_a_checkpoint(self):
-        client, server = branchy_pair()
-        session = ReversibleSession(client, server)
-        labels = session.enabled()
-        assert len(labels) == 2
-        session.sync(labels[0])
-        assert len(session.stack) == 1
-        assert session.stack[0].untried == (labels[1],)
-
-    def test_rollback_restores_pair_and_restricts_choice(self):
-        client, server = branchy_pair()
-        session = ReversibleSession(client, server)
-        bad = next(label for label in session.enabled()
-                   if "a" in repr(label))
-        initial = session.pair
-        session.sync(bad)
-        assert session.enabled() == ()  # stranded
-        assert session.rollback()
-        assert session.pair == initial
-        assert session.rollbacks == 1
-        remaining = session.enabled()
-        assert len(remaining) == 1
-        assert "b" in repr(remaining[0])
-
-    def test_trace_is_rewound_to_a_prefix(self):
-        client, server = branchy_pair()
-        session = ReversibleSession(client, server)
-        bad = next(label for label in session.enabled()
-                   if "a" in repr(label))
-        before = list(session.trace)
-        session.sync(bad)
-        extended = list(session.trace)
-        assert extended[:len(before)] == before
-        session.rollback()
-        assert list(session.trace) == before  # exact prefix restored
-
-    def test_run_with_adversarial_chooser_recovers(self):
-        client, server = branchy_pair()
-
-        def worst_first(labels):
-            return next((label for label in labels
-                         if "a" in repr(label)), labels[0])
-
-        session = ReversibleSession(client, server)
-        assert session.run(chooser=worst_first) == "completed"
-        assert session.rollbacks == 1
-
-    def test_exhausted_stack_reports_exhaustion(self):
-        session = ReversibleSession(*doomed_pair())
-        assert session.run() == "exhausted"
-        assert not session.can_rollback()
-
-    def test_sync_rejects_disabled_labels(self):
-        session = ReversibleSession(send("a"), receive("a"))
-        with pytest.raises(ValueError, match="not enabled"):
-            session.sync("nonsense")
-
-    def test_branches_never_repeat_from_one_checkpoint(self):
-        client = internal(("a", send("x")), ("b", send("y")),
-                          ("c", EPSILON))
-        server = external(("a", receive("p")), ("b", receive("q")),
-                          ("c", EPSILON))
-        session = ReversibleSession(client, server)
-        tried = []
-        while True:
-            labels = session.enabled()
-            if session.is_complete():
-                break
-            if not labels:
-                assert session.rollback()
-                continue
-            tried.append(labels[0])
-            session.sync(labels[0])
-        assert session.is_complete()
-        assert len(tried) == len(set(tried))  # no branch retried
 
 
 class TestEngineDispatch:

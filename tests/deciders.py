@@ -1,9 +1,20 @@
 """Every decider of ``client ⊢ server``, reduced to its verdict.
 
-The on-the-fly search behind ``check_compliance`` is the production
-decider; the others are the oracles the differential tests compare it
-against: the explicit automaton of Definition 5, the gfp certifier,
-Definition 4 read literally, and the compiled search the registry runs.
+The on-the-fly product search behind ``check_compliance`` is the
+production decider.  Two entries are independent of it, and only they
+are oracles in the strict sense:
+
+* ``coinductive`` reads Definition 4 literally;
+* ``compiled`` searches the product over interned integer tables
+  (``compile_contract``), the search the registry runs on quotients.
+
+The other three share the production search's code, so they catch a
+slip in what is built on top of it but not one inside it:
+
+* ``onthefly`` is the production search itself (``search_product``);
+* ``gfp`` runs the same ``explore_product`` BFS to the end;
+* ``eager`` builds the Definition 5 automaton from the same
+  ``is_stuck`` and ``synchronisations``.
 """
 
 from repro.compiled.search import compiled_search

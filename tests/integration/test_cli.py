@@ -495,8 +495,11 @@ class TestMalformedInput:
          'args = { bl = [1], phi1 = 45, t = 100 }\n',
          "policies.p: instantiation of phi: missing ['p'], "
          "unexpected ['phi1']"),
+        ('[services.s]\nterm = "?a ."\n',
+         "services.s: term: 1:5: expected a history expression, "
+         "found EOF ('')"),
     ], ids=["section", "term-type", "schema-type", "schema-args-type",
-            "args-type", "instantiation"])
+            "args-type", "instantiation", "term-syntax"])
     def test_toml_shapes(self, tmp_path, capsys, text, message):
         path = tmp_path / "net.toml"
         path.write_text(text)

@@ -1,12 +1,15 @@
 """Integration of the extension modules with the paper's network."""
 
+import pytest
+
 from repro.analysis.capacity import check_capacities
-from repro.contracts.subcontract import substitutable_services
+from repro.canon.preorder import subcontract_preorder
 from repro.core.plans import Plan
 from repro.core.projection import project
 from repro.paper import figure2
 from repro.quantitative import (CostModel, cheapest_valid_plan,
                                 plan_cost, priced_valid_plans)
+from repro.registry import ContractRegistry
 
 #: Signing is expensive, publishing metadata is cheap.
 MODEL = CostModel.of({"sgn": 10, "p": 1, "ta": 1})
@@ -52,29 +55,36 @@ class TestCapacityOnThePaperNetwork:
         assert report.feasible
 
 
+@pytest.fixture(scope="module")
+def registry(repo):
+    registry = ContractRegistry()
+    for location, term in repo.items():
+        registry.add(location, term)
+    return registry
+
+
 class TestDiscoveryOnThePaperNetwork:
-    def test_hotels_refining_s3(self, repo):
+    def test_hotels_refining_s3(self, registry):
         # Advertising S3's contract: which hotels can substitute it?
         advertised = project(figure2.hotel_3())
-        matches = substitutable_services(advertised, repo)
+        matches = registry.find_substitutable(advertised).matches
         # S1 and S4 have the same contract (?IdC.(Bok ⊕ UnA)); S2 adds
         # the Del output — more internal surprises, NOT a refinement; the
         # broker speaks a different protocol entirely.
         assert set(matches) == {"ls1", "ls3", "ls4"}
 
     def test_s2_refines_the_others_but_not_vice_versa(self, repo):
-        from repro.contracts.subcontract import subcontract
         s2 = project(figure2.hotel_2())
         s3 = project(figure2.hotel_3())
-        assert subcontract(s2, s3)       # dropping Del only helps
-        assert not subcontract(s3, s2)   # adding Del can break clients
+        assert subcontract_preorder(s2, s3)      # dropping Del only helps
+        assert not subcontract_preorder(s3, s2)  # adding Del breaks some
 
-    def test_discovery_respects_the_broker(self, repo):
+    def test_discovery_respects_the_broker(self, repo, registry):
         # The broker handles Bok/UnA only: it is compliant with every
         # refinement of S3's contract the discovery returns.
         from repro.analysis.requests import extract_requests
         from repro.core.compliance import compliant
         (broker_request,) = extract_requests(figure2.broker())
         advertised = project(figure2.hotel_3())
-        for location in substitutable_services(advertised, repo):
+        for location in registry.find_substitutable(advertised).matches:
             assert compliant(broker_request.body, repo[location])

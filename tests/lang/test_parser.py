@@ -100,6 +100,21 @@ class TestErrors:
         with pytest.raises(ParseError, match="'!' or '?'"):
             parse("(@e + ?a)")
 
+    @pytest.mark.parametrize("source, column, found", [
+        ("(?a + @b)", 7, "@"),
+        ("(?a + (b)", 7, "("),
+        ("(?a + {b)", 7, "{"),
+        ("(?a + )", 7, ")"),
+        ("(!a ++ @b)", 8, "@"),
+    ], ids=["event", "paren", "brace", "close", "internal-event"])
+    def test_every_branch_starts_with_a_sigil(self, source, column, found):
+        with pytest.raises(ParseError) as caught:
+            parse(source)
+        error = caught.value
+        assert (error.line, error.column) == (1, column)
+        assert error.message == (f"expected a '!' or '?' prefix, found "
+                                 f"{found} ({found!r})")
+
     def test_unknown_policy(self):
         with pytest.raises(ParseError, match="unknown policy"):
             parse("frame ghost { eps }")

@@ -13,4 +13,9 @@ terms of moderate depth.
 ran before it became one regex per line;
 :mod:`tests.property.test_prop_lexer` requires the same tokens, or the
 same error at the same position, from both.
+
+:mod:`tests.oracles.planner` is the planner's unmemoised pass, with no
+shared compliance cache and no pruning; the partition tests require
+the same valid and invalid plans from it and from
+:func:`repro.analysis.planner.find_valid_plans`.
 """

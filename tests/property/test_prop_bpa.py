@@ -3,7 +3,9 @@
 * the HE → BPA translation is strongly bisimilar to the source;
 * the framing regularisation bounds same-policy nesting at 1 and
   preserves the validity verdict;
-* the BPA model checker agrees with trace enumeration.
+* the BPA model checker agrees with trace enumeration, and with the
+  production certifier (``certify_validity``), with which it shares no
+  code.
 """
 
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from repro.contracts.lts import bisimilar, build_lts
 from repro.bpa.modelcheck import check_validity_bpa
 from repro.bpa.regularize import max_framing_depth, regularize
 from repro.bpa.translate import to_bpa
+from repro.staticcheck.validity import certify_validity
 
 from tests.strategies import history_expressions
 
@@ -62,6 +65,12 @@ def test_modelchecker_agrees_with_trace_enumeration(term):
         return
     assert check_validity_bpa(term).valid == \
         declarative_valid(term, cap=len(lts) + 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(term=history_expressions(max_depth=3))
+def test_modelchecker_agrees_with_the_certifier(term):
+    assert check_validity_bpa(term).valid == certify_validity(term).valid
 
 
 @settings(max_examples=100, deadline=None)

@@ -13,9 +13,7 @@ Three families of seeded properties:
   ``H1 ≼ H2`` holds, every sampled client compliant with ``H1`` stays
   compliant with ``H2`` on every decider; when it is refused, the
   synthesised witness client replays concretely on every decider
-  (compliant with ``H1``, stuck against ``H2``); and the interpreted
-  ``subcontract`` — a sound under-approximation — never accepts a pair
-  the exact decider refuses.
+  (compliant with ``H1``, stuck against ``H2``).
 """
 
 import random
@@ -26,7 +24,6 @@ from repro.canon import (canonically_equal, fingerprint_of, minimize,
                          preorder_equivalent, subcontract_preorder)
 from repro.compiled.search import compiled_search
 from repro.contracts.contract import clear_contract_caches
-from repro.contracts.subcontract import subcontract as interpreted_subcontract
 from repro.core.compliance import check_compliance
 from repro.core.duality import dual
 from repro.core.syntax import (EPSILON, external, internal, mu, seq, send)
@@ -175,19 +172,6 @@ class TestPreorderSoundness:
                 assert decide(witness.client, h1), (h1, h2, engine)
                 assert not decide(witness.client, h2), (h1, h2, engine)
         assert refusals >= 40
-
-    def test_interpreted_subcontract_never_beats_the_exact_decider(self):
-        # The interpreted checker is sound but conservative: wherever it
-        # says yes, the exact decider must agree.
-        violations = []
-        for h1, h2 in self.PAIRS[:120]:
-            try:
-                conservative = interpreted_subcontract(h1, h2)
-            except Exception:  # noqa: BLE001 - blowups aren't verdicts
-                continue
-            if conservative and not subcontract_preorder(h1, h2).holds:
-                violations.append((h1, h2))
-        assert not violations, violations[:3]
 
     def test_vacuous_left_holds_for_arbitrary_right(self):
         rng = random.Random(SEED ^ 7)

@@ -1,5 +1,5 @@
 """Randomized agreement of the three compliance deciders, and of the
-memoized planner with the unmemoized one.
+memoized planner with the unmemoized one (``tests/oracles/planner.py``).
 
 The contract pairs are drawn (seeded) from the benchmark workload
 generators; for every pair the on-the-fly search, eager product
@@ -26,6 +26,7 @@ from repro.cli import load_module  # noqa: E402
 from repro.contracts.contract import Contract  # noqa: E402
 from repro.contracts.product import build_product  # noqa: E402
 from repro.paper import figure2  # noqa: E402
+from tests.oracles import planner as oracle  # noqa: E402
 
 TWO_BODIES = (pathlib.Path(__file__).resolve().parents[1] / "analysis"
               / "fixtures" / "request_id_two_bodies.sus")
@@ -77,8 +78,7 @@ def partition(result):
 
 
 def assert_partition_is_preserved(client, repo, location):
-    baseline = find_valid_plans(client, repo, location=location,
-                                memoize=False, prune=False)
+    baseline = oracle.find_valid_plans(client, repo, location=location)
     memoized = find_valid_plans(client, repo, location=location)
     assert partition(memoized) == partition(baseline)
 
@@ -106,8 +106,7 @@ class TestMemoizedPlannerPartition:
             client = chain_client(rng.randint(1, 3))
             repo = worker_pool(rng.randint(2, 5),
                                defective_every=rng.choice([0, 2, 3]))
-            baseline = find_valid_plans(client, repo, memoize=False,
-                                        prune=False)
+            baseline = oracle.find_valid_plans(client, repo)
             memoized = find_valid_plans(client, repo)
             assert partition(memoized) == partition(baseline)
 
