@@ -25,7 +25,8 @@ Run with::
 """
 
 from repro import parse
-from repro.analysis.verification import verify_client, verify_network
+from repro.analysis.planner import find_valid_plans
+from repro.analysis.verification import verify_network
 from repro.network.repository import Repository
 from repro.policies import chinese_wall
 
@@ -63,18 +64,18 @@ roaming_analyst = parse(
     policies={"wall": wall})
 
 print("== focused analyst (A, A) ==")
-verdict = verify_client(focused_analyst, repository, location="focused")
-for analysis in verdict.result.valid_plans + verdict.result.invalid_plans:
+# The full planning pass lists every candidate node with its verdict.
+result = find_valid_plans(focused_analyst, repository, location="focused")
+for analysis in result.valid_plans + result.invalid_plans:
     print(" ", analysis.explain())
-assert verdict.verified
-assert verdict.plan is not None
-assert verdict.plan.plan.lookup("storage") == "honest"
+assert result.has_valid_plan
+assert result.best().plan.lookup("storage") == "honest"
 
 print("\n== roaming analyst (A, B) ==")
-verdict = verify_client(roaming_analyst, repository, location="roaming")
-for analysis in verdict.result.valid_plans + verdict.result.invalid_plans:
+result = find_valid_plans(roaming_analyst, repository, location="roaming")
+for analysis in result.valid_plans + result.invalid_plans:
     print(" ", analysis.explain())
-assert not verdict.verified, "the wall forbids touching both datasets"
+assert not result.has_valid_plan, "the wall forbids touching both datasets"
 
 print("\n== whole-network verdict (Section 5) ==")
 report = verify_network({"focused": focused_analyst,

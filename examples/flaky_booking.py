@@ -23,6 +23,7 @@ Run with::
     python examples/flaky_booking.py
 """
 
+from repro.analysis.planner import find_valid_plans
 from repro.analysis.verification import verify_network
 from repro.core.syntax import external, internal, receive, request, send
 from repro.core.validity import is_valid
@@ -48,8 +49,8 @@ clients = {"lc": client}
 print("== Verification: two interchangeable valid plans ==")
 verdict = verify_network(clients, repository)
 assert verdict.verified
-result = verdict.clients[0].result
-for analysis in result.valid_plans:
+# Verification stops at the first valid plan; the full pass lists both.
+for analysis in find_valid_plans(client, repository).valid_plans:
     print(f"  valid plan: {analysis.plan}")
 plans = verdict.plan_vector()
 primary = plans[0].lookup("3")

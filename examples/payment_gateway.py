@@ -25,7 +25,7 @@ Run with::
 
 from repro import (Component, Configuration, Simulator, parse,
                    plan_is_valid_exhaustive)
-from repro.analysis.verification import verify_client
+from repro.analysis.planner import find_valid_plans
 from repro.policies import require_before
 
 # Charging requires a prior authorization, anywhere in the history.
@@ -63,19 +63,20 @@ repository = Repository({
 })
 
 print("== plan synthesis for the shopper ==")
-verdict = verify_client(shopper, repository, location="shopper")
-for analysis in verdict.result.invalid_plans + verdict.result.valid_plans:
+# The full planning pass, so every candidate is listed and cross-checked.
+result = find_valid_plans(shopper, repository, location="shopper")
+for analysis in result.invalid_plans + result.valid_plans:
     print(" ", analysis.explain())
 
-assert verdict.verified
-best = verdict.plan
+assert result.has_valid_plan
+best = result.best()
 assert best is not None and best.plan.lookup("capture") == "fastpay"
 print(f"\nchosen plan: {best.plan}")
 
 # Cross-check the static verdicts against exhaustive exploration.
 print("\n== cross-validation against the exhaustive oracle ==")
 network = Configuration.of(Component.client("shopper", shopper))
-for analysis in verdict.result.valid_plans + verdict.result.invalid_plans:
+for analysis in result.valid_plans + result.invalid_plans:
     oracle = plan_is_valid_exhaustive(network, analysis.plan, repository)
     agree = "agree" if oracle == analysis.valid else "DISAGREE"
     print(f"  {analysis.plan}: static={analysis.valid} oracle={oracle} "

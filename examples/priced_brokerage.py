@@ -20,7 +20,7 @@ Run with::
 
 from repro import parse
 from repro.analysis.capacity import check_capacities
-from repro.analysis.verification import verify_client
+from repro.analysis.planner import find_valid_plans
 from repro.network.repository import Repository
 from repro.quantitative import (CostModel, budget_policy,
                                 cheapest_valid_plan, priced_valid_plans)
@@ -48,10 +48,11 @@ repository = Repository({
 })
 
 print("== plan synthesis under the budget policy ==")
-verdict = verify_client(client, repository, location="alice")
-for analysis in verdict.result.valid_plans + verdict.result.invalid_plans:
+# The full planning pass: every candidate, not just the first valid one.
+result = find_valid_plans(client, repository, location="alice")
+for analysis in result.valid_plans + result.invalid_plans:
     print(" ", analysis.explain())
-valid_locations = {a.plan.lookup("sign") for a in verdict.result.valid_plans}
+valid_locations = {a.plan.lookup("sign") for a in result.valid_plans}
 assert valid_locations == {"lean", "chatty"}
 assert "paranoid" not in valid_locations  # rejected by the budget
 

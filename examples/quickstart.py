@@ -12,6 +12,7 @@ Run with::
 
 from repro import (Component, Configuration, Plan, Repository, Simulator,
                    check_compliance, parse, pretty, project)
+from repro.analysis.planner import find_valid_plans
 from repro.analysis.verification import verify_client
 from repro.policies import never_after
 
@@ -49,7 +50,10 @@ plan = verdict.plan.plan
 print("valid plan:", plan)                       # r[good]
 assert plan == Plan.of({"r": "good"})
 
-for analysis in verdict.result.invalid_plans:
+# Verification stops at the first valid plan; the full planning pass
+# also lists the candidates rejected after it.
+for analysis in find_valid_plans(client, repository,
+                                 location="me").invalid_plans:
     print("rejected:", analysis.explain())
 
 # --- run without a monitor ----------------------------------------------

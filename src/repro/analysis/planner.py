@@ -277,7 +277,14 @@ def analyze_plan(client: HistoryExpression, plan: Plan,
 
 @dataclass
 class PlannerResult:
-    """The outcome of a full planning pass for one client.
+    """The outcome of one planning pass for one client: the valid and
+    the invalid plans it analysed, each list in enumeration order.
+
+    A full pass analyses every candidate.  A first-valid pass
+    (``find_valid_plans(..., first_valid=True)``) stops at its first
+    valid plan, so it holds at most one valid plan and only the invalid
+    plans enumerated before it; when no plan is valid it has analysed
+    every candidate, like a full pass.
 
     ``metrics`` summarises the work the pass performed — plans analysed
     and pruned, memo hits/misses, distinct bindings decided — and is
@@ -300,12 +307,17 @@ class PlannerResult:
 
 def find_valid_plans(client: HistoryExpression, repository: Repository,
                      candidates=None, location: str = "client",
-                     max_plans: int | None = None) -> PlannerResult:
+                     max_plans: int | None = None, *,
+                     first_valid: bool = False) -> PlannerResult:
     """Enumerate and analyse plans for *client*, separating the valid
     ones — the viable orchestrations of Section 5.
 
     *max_plans* bounds the number of candidates analysed (``None`` for
-    all).
+    all).  With *first_valid* the pass stops after the first valid plan
+    in enumeration order — the plan :meth:`PlannerResult.best` returns
+    either way, and the one plan Section 5 asks for per client.  Only a
+    caller that needs every valid plan (the cost-aware ranking of
+    :mod:`repro.quantitative.planning`) runs the full pass.
 
     One :class:`ComplianceCache` is shared across all candidates, so each
     distinct ``(request body, service)`` pair is decided once.  A plan
@@ -317,7 +329,8 @@ def find_valid_plans(client: HistoryExpression, repository: Repository,
     occurrence.  Neither changes the valid/invalid partition: pruned
     plans are still enumerated and reported invalid, carrying the
     failing check.  The test suite's unmemoised pass
-    (``tests/oracles/planner.py``) is the oracle for that partition.
+    (``tests/oracles/planner.py``) is the oracle for that partition,
+    and for the plan a first-valid pass stops at.
     """
     cache = ComplianceCache()
     plans = enumerate_plans(client, repository, candidates)
@@ -364,6 +377,8 @@ def find_valid_plans(client: HistoryExpression, repository: Repository,
                 pruned += 1
             if analysis.valid:
                 result.valid_plans.append(analysis)
+                if first_valid:
+                    break
             else:
                 result.invalid_plans.append(analysis)
         result.metrics = {

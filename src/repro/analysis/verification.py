@@ -26,7 +26,12 @@ from repro.network.repository import Repository
 
 @dataclass(frozen=True)
 class ClientVerdict:
-    """The verification outcome for one client."""
+    """The verification outcome for one client.
+
+    ``result`` is a first-valid planning pass: it holds the chosen
+    valid plan and the invalid plans enumerated before it, or, when no
+    plan is valid, every candidate with the reason it was rejected.
+    """
 
     location: str
     result: PlannerResult
@@ -91,10 +96,11 @@ def verify_client(client: HistoryExpression, repository: Repository,
     """Verify one client: well-formedness, then plan synthesis with the
     compliance and security checks
     (:func:`~repro.analysis.planner.find_valid_plans`, which decides
-    each distinct binding once)."""
+    each distinct binding once and stops at the first valid plan)."""
     check_well_formed(client)
     result = find_valid_plans(client, repository, candidates=candidates,
-                              location=location, max_plans=max_plans)
+                              location=location, max_plans=max_plans,
+                              first_valid=True)
     return ClientVerdict(location, result)
 
 

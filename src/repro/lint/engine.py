@@ -26,8 +26,9 @@ def lint_module(module: Module, registry: RuleRegistry | None = None, *,
 
     ``select``/``ignore`` narrow the rule set by code; ``min_severity``
     keeps only rules of at least that default severity (how ``check``
-    runs the error rules only).  Diagnostics come back sorted by source
-    position, then code.
+    runs the error rules only), and of their diagnostics only those of
+    at least that severity (a rule may lower one below its default).
+    Diagnostics come back sorted by source position, then code.
     """
     rules = (registry or default_registry()).rules(
         select=select, ignore=ignore, min_severity=min_severity)
@@ -35,7 +36,9 @@ def lint_module(module: Module, registry: RuleRegistry | None = None, *,
     tel = _telemetry.active()
     diagnostics: list[Diagnostic] = []
     for rule in rules:
-        found = list(rule.check(context))
+        found = [diagnostic for diagnostic in rule.check(context)
+                 if min_severity is None
+                 or diagnostic.severity >= min_severity]
         if tel is not None:
             tel.metrics.counter("lint.fired", rule=rule.code).inc(
                 len(found))

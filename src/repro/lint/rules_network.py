@@ -1,10 +1,12 @@
 """Network-level lint rules: requests and framings that cannot work.
 
 * ``SUS030 doomed-request`` — a request no declared service can serve:
-  every published contract fails compliance against the session body,
-  so no valid plan can exist for the enclosing client (Theorem 1 makes
-  this decidable per binding; the planner would enumerate and reject
-  every candidate at verification time — lint says so up front).
+  every published contract fails compliance against the session body
+  (Theorem 1 makes this decidable per binding; the planner would
+  enumerate and reject every candidate at verification time — lint says
+  so up front).  In a client, no valid plan can exist for it: an error.
+  In a service, only the plans binding that service are invalid, and a
+  plan routing around it may still be valid: a warning.
 * ``SUS031 unclosed-residual`` — a declared term contains a *run-time*
   residual node (``close_{r,φ}`` or ``Mφ``): a session or policy
   framing opened but never closed.  The parser cannot produce these,
@@ -34,14 +36,20 @@ def doomed_request(ctx: LintContext) -> Iterator[Diagnostic]:
         detail = (f"none of the {services} declared service(s) is "
                   "compliant with its session body"
                   if services else "the module declares no services")
+        if decl.is_service:
+            detail += f"; every plan binding {decl.name!r} is invalid"
+            severity = Severity.WARNING
+            outcome = f"plans that do not bind {decl.name!r} are unaffected"
+        else:
+            severity = None
+            outcome = "verification is guaranteed to fail otherwise"
         yield rule.diagnostic(
             f"request {info.request!r} in {decl.name!r} is doomed: "
             f"{detail}",
             span=ctx.request_span(decl, info.request) or decl.span,
-            declaration=decl.name,
+            declaration=decl.name, severity=severity,
             hint="publish a service whose contract matches the session "
-                 "body, or fix the body — verification is guaranteed to "
-                 "fail otherwise")
+                 f"body, or fix the body — {outcome}")
 
 
 @_REGISTRY.rule("SUS031", "unclosed-residual", Severity.ERROR,

@@ -13,10 +13,10 @@ progress:
   :class:`~repro.core.validity.ValidityMonitor` replaying it stays
   consistent (:func:`compensate`);
 * **failover re-planning** — repair the plan through the memoized
-  :func:`~repro.analysis.planner.find_valid_plans` path, pinning every
-  binding that still points at a healthy location and freeing only the
-  bindings routed to failed ones (:func:`replan`), exactly the re-wiring
-  the valid-plan machinery permits.
+  first-valid :func:`~repro.analysis.planner.find_valid_plans` pass,
+  pinning every binding that still points at a healthy location and
+  freeing only the bindings routed to failed ones (:func:`replan`),
+  exactly the re-wiring the valid-plan machinery permits.
 
 Each recovery attempt is journalled in a :class:`RecoveryEpisode`, the
 unit chaos reports and the property tests reason about.
@@ -150,6 +150,6 @@ def replan(client: HistoryExpression, repository: Repository,
                   if target not in excluded}
     result = find_valid_plans(client, Repository(healthy, validate=False),
                               candidates=candidates, location=location,
-                              max_plans=max_plans)
+                              max_plans=max_plans, first_valid=True)
     best = result.best()
     return best.plan if best is not None else None

@@ -7,8 +7,8 @@ Runs the four staticcheck analyses over a parsed
   (:mod:`repro.staticcheck.labels`, :mod:`repro.staticcheck.validity`);
 * per request occurrence × candidate service — compliance certification
   with stuck witnesses (:mod:`repro.staticcheck.compliance`);
-* per client — plan certification, with a minimal-unsat-core
-  explanation when no valid plan exists
+* per client — one first-valid planner pass, with a minimal-unsat-core
+  explanation over the plans it analysed when no valid plan exists
   (:mod:`repro.staticcheck.plans`).
 
 A module is *accepted* when every term is statically valid and every
@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 from repro.lang.module import Module
 from repro.observability import runtime as _telemetry
+from repro.analysis.planner import find_valid_plans
 from repro.analysis.requests import extract_requests
 from repro.staticcheck.compliance import (ComplianceCertificate,
                                           certify_compliance)
@@ -200,19 +201,18 @@ def _analyze(module: Module, max_plans: int | None) -> ModuleAnalysis:
                     pairs.append(PairReport(name, info.request, location,
                                             certificate))
 
+    # One first-valid pass per client; a pass without a valid plan has
+    # analysed every candidate, and the explainer reasons over those.
     plans = []
     for name, term in module.clients.items():
-        explanation = explain_no_valid_plan(term, repository,
-                                            location=name,
-                                            max_plans=max_plans)
-        plan = None
-        if explanation is None:
-            from repro.analysis.planner import find_valid_plans
-            best = find_valid_plans(term, repository, location=name,
-                                    max_plans=max_plans).best()
-            if best is not None:
-                plan = str(best.plan)
-        plans.append(ClientPlanReport(name, plan, explanation))
+        planner = find_valid_plans(term, repository, location=name,
+                                   max_plans=max_plans, first_valid=True)
+        best = planner.best()
+        if best is not None:
+            plans.append(ClientPlanReport(name, str(best.plan), None))
+        else:
+            plans.append(ClientPlanReport(name, None, explain_no_valid_plan(
+                term, repository, location=name, planner=planner)))
 
     return ModuleAnalysis(module.path, tuple(terms), tuple(pairs),
                           tuple(plans))

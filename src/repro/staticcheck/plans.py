@@ -1,20 +1,24 @@
 """Explaining why no valid plan exists (minimal unsatisfiable cores).
 
 :func:`repro.analysis.planner.find_valid_plans` reports plan failure as
-an empty list; this module turns that bare refusal into a certificate.
-A candidate plan must satisfy one constraint per (transitively
-reachable) request — *the chosen service complies with the session
-body* — plus one global *security* constraint — *the assembled
-behaviour never produces an invalid history*.  When no plan satisfies
-them all, a deletion-based minimal unsatisfiable core is computed:
-constraints are dropped one at a time, keeping only those whose removal
-would make the system satisfiable.  Each surviving constraint carries
-its evidence — per-candidate stuck witnesses
+a list of invalid plans; this module turns that bare refusal into a
+certificate over exactly the plans the planner analysed.  Under each
+plan, a request is constrained by *the bound service complies with
+every session body the plan opens under the request's id* (each
+occurrence the plan reaches, walked as
+:func:`~repro.analysis.planner.analyze_plan` walks them), and the plan
+by one global *security* constraint — *the assembled behaviour never
+produces an invalid history*.  When no plan satisfies them all, a
+deletion-based minimal unsatisfiable core is computed: constraints are
+dropped one at a time, keeping only those whose removal would make the
+system satisfiable.  Each surviving constraint carries its evidence —
+per-candidate stuck witnesses
 (:class:`~repro.staticcheck.witness.StuckWitness`) for a compliance
 constraint, a replayable
 :class:`~repro.staticcheck.witness.ValidityWitness` for the security
 constraint — rendered as a human-readable "why no valid plan exists"
-report.
+report.  When no plan could be completed at all, the core names the
+requests no candidate service can take.
 """
 
 from __future__ import annotations
@@ -22,23 +26,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from repro.core.plans import Plan
 from repro.core.syntax import HistoryExpression
 from repro.network.repository import Repository
 from repro.observability import runtime as _telemetry
 from repro.observability.cache_stats import track_cache
-from repro.analysis.planner import (analyze_plan, enumerate_plans,
-                                    find_valid_plans)
+from repro.analysis.planner import (PlannerResult, find_valid_plans,
+                                    plan_security)
 from repro.analysis.requests import extract_requests
-from repro.staticcheck.compliance import certify_compliance
+from repro.staticcheck.compliance import (ComplianceCertificate,
+                                          certify_compliance)
 from repro.staticcheck.witness import (StuckWitness, ValidityWitness,
                                        witness_from_history)
 
 #: Entries kept in the explanation memo table (see
 #: :func:`repro.staticcheck.clear_staticcheck_caches`).
 PLAN_CACHE_SIZE = 256
-
-#: Bound on the candidate plans the unsat-core search enumerates.
-DEFAULT_PLAN_CAP = 512
 
 
 @dataclass(frozen=True)
@@ -138,30 +141,28 @@ def explain_no_valid_plan(client: HistoryExpression,
                           repository: Repository,
                           candidates=None, location: str = "client", *,
                           max_plans: int | None = None,
-                          plan_cap: int = DEFAULT_PLAN_CAP
+                          planner: PlannerResult | None = None
                           ) -> PlanExplanation | None:
     """Explain why no valid plan exists — or return ``None`` when one does.
 
-    Memoised on the client term and the repository contents; *candidates*
-    optionally restricts the locations allowed per request (as in
-    :func:`~repro.analysis.planner.find_valid_plans`), *plan_cap* bounds
-    the candidate plans the unsat-core search may enumerate.
+    The core is built over exactly the plans one planning pass analysed.
+    *planner* is that pass, a
+    :func:`~repro.analysis.planner.find_valid_plans` result for the same
+    client, repository, *candidates* (the locations allowed per request)
+    and location; ``repro analyze`` hands over the pass it ran.  Without
+    it, a first-valid pass bounded by *max_plans* runs here.  A pass that
+    finds no valid plan has analysed every candidate it enumerated.  The
+    explanation is memoised on the client term, the repository contents,
+    the candidates, the location and those plans.
     """
-    items = tuple(repository.items())
-    if candidates is None:
-        candidate_key = None
-    else:
-        candidate_key = tuple(sorted(
-            (request, tuple(locations))
-            for request, locations in candidates.items()))
     tel = _telemetry.active()
     if tel is None:
-        return _explain(client, items, candidate_key, location, max_plans,
-                        plan_cap)
+        return _explain_pass(client, repository, candidates, location,
+                             max_plans, planner)
     with tel.tracer.span("staticcheck.explain_no_valid_plan",
                          location=location) as span:
-        explanation = _explain(client, items, candidate_key, location,
-                               max_plans, plan_cap)
+        explanation = _explain_pass(client, repository, candidates,
+                                    location, max_plans, planner)
         verdict = "valid_plan" if explanation is None else "explained"
         span.set(verdict=verdict)
         tel.metrics.counter("staticcheck.certifications",
@@ -169,173 +170,177 @@ def explain_no_valid_plan(client: HistoryExpression,
         return explanation
 
 
-@lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _explain(client: HistoryExpression, items: tuple, candidate_key,
-             location: str, max_plans: int | None,
-             plan_cap: int) -> PlanExplanation | None:
-    repository = Repository(dict(items), validate=False)
-    candidates = (None if candidate_key is None
-                  else {request: list(locations)
-                        for request, locations in candidate_key})
-
-    planner = find_valid_plans(client, repository, candidates, location,
-                               max_plans)
+def _explain_pass(client: HistoryExpression, repository: Repository,
+                  candidates, location: str, max_plans: int | None,
+                  planner: PlannerResult | None) -> PlanExplanation | None:
+    if planner is None:
+        planner = find_valid_plans(client, repository, candidates,
+                                   location, max_plans, first_valid=True)
     if planner.has_valid_plan:
         return None
+    if candidates is None:
+        candidate_key = None
+    else:
+        candidate_key = tuple(sorted(
+            (request, tuple(locations))
+            for request, locations in candidates.items()))
+    plans = tuple(analysis.plan for analysis in planner.invalid_plans)
+    return _explain(client, tuple(repository.items()), candidate_key,
+                    location, plans)
 
-    bodies = _reachable_requests(client, repository, candidates)
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _explain(client: HistoryExpression, items: tuple, candidate_key,
+             location: str, plans: tuple[Plan, ...]) -> PlanExplanation:
+    repository = Repository(dict(items), validate=False)
+    candidates = dict(candidate_key) if candidate_key is not None else {}
 
     def options_for(request: str) -> tuple[str, ...]:
-        if candidates is not None and request in candidates:
-            return tuple(candidates[request])
-        return repository.locations()
+        return candidates.get(request, repository.locations())
 
-    # Per-binding compliance verdicts (with stuck witnesses), decided
-    # once per (request, candidate) pair: a candidate complies only if it
-    # complies with every session body opened under the request id.
-    compliant_of: dict[tuple[str, str], bool] = {}
-    refusals_of: dict[str, tuple[BindingRefusal, ...]] = {}
-    accepting_of: dict[str, tuple[str, ...]] = {}
-    unresolvable: list[str] = []
-    for request in sorted(bodies):
-        refused = []
-        accepting = []
-        any_candidate = False
-        for loc in options_for(request):
-            service = repository.get(loc)
-            if service is None:
-                continue
-            any_candidate = True
-            refusal = None
-            for body in bodies[request]:
-                certificate = certify_compliance(body, service)
-                if not certificate.compliant:
-                    refusal = BindingRefusal(loc, certificate.witness)
-                    break
-            compliant_of[(request, loc)] = refusal is None
-            if refusal is None:
-                accepting.append(loc)
-            else:
-                refused.append(refusal)
-        refusals_of[request] = tuple(refused)
-        accepting_of[request] = tuple(accepting)
-        if not any_candidate:
-            unresolvable.append(request)
-
-    if unresolvable:
+    if not plans:
         core = tuple(CoreConstraint("completeness", request)
-                     for request in unresolvable)
-        return PlanExplanation(location, core, None,
-                               planner.metrics.get("plans_analyzed", 0))
+                     for request in _unservable_requests(
+                         client, repository, options_for))
+        return PlanExplanation(location, core, None, 0)
 
-    plans = []
-    for index, plan in enumerate(
-            enumerate_plans(client, repository, candidates)):
-        if index >= plan_cap:
-            break
-        plans.append(plan)
+    # Per plan: request id -> the first refusal among the occurrences of
+    # that id the plan reaches, or None when its binding serves them all.
+    # Each distinct (body, service) pair is certified once.
+    certificates: dict[tuple[HistoryExpression, HistoryExpression],
+                       ComplianceCertificate] = {}
 
-    security_cache: dict = {}
+    def certify(body: HistoryExpression,
+                service: HistoryExpression) -> ComplianceCertificate:
+        key = (body, service)
+        if key not in certificates:
+            certificates[key] = certify_compliance(body, service)
+        return certificates[key]
 
-    def secure(plan) -> bool:
-        verdict = security_cache.get(plan)
-        if verdict is None:
-            analysis = analyze_plan(client, plan, repository, location,
-                                    prune=False)
-            security_cache[plan] = analysis
-            verdict = analysis
-        return verdict.security.secure
+    refusals_under = [_refusals_under(client, plan, repository, certify)
+                      for plan in plans]
+    requests = sorted({request for refusals in refusals_under
+                       for request in refusals})
 
-    def satisfiable(constraints: tuple[tuple[str, str | None], ...]) -> bool:
-        """Does some candidate plan satisfy every listed constraint?"""
-        for plan in plans:
-            ok = all(kind != "compliance"
-                     or _binding_complies(plan, request, compliant_of)
-                     for kind, request in constraints)
-            if ok and any(kind == "security" for kind, _ in constraints):
-                ok = secure(plan)
-            if ok:
-                return True
-        return False
+    # A candidate complies for a request when some considered plan
+    # binding the request to it serves every occurrence the plan
+    # reaches; it refuses when every such plan fails one, and the first
+    # failure met is its witness.
+    serves: dict[tuple[str, str], bool] = {}
+    witness_of: dict[tuple[str, str], StuckWitness | None] = {}
+    for plan, refusals in zip(plans, refusals_under):
+        for request, refusal in refusals.items():
+            binding = (request, plan.lookup(request))
+            if refusal is None:
+                serves[binding] = True
+            else:
+                serves.setdefault(binding, False)
+                witness_of.setdefault(binding, refusal.witness)
 
-    all_constraints = tuple((("compliance", request)
-                             for request in sorted(bodies))
-                            ) + (("security", None),)
+    def satisfies(index: int, constraints) -> bool:
+        """Does the *index*-th plan meet every listed constraint?  A
+        request the plan does not reach constrains it vacuously."""
+        refusals = refusals_under[index]
+        if any(kind == "compliance" and refusals.get(request) is not None
+               for kind, request in constraints):
+            return False
+        if ("security", None) in constraints:
+            return plan_security(client, plans[index], repository,
+                                 location).secure
+        return True
+
+    def satisfiable(constraints) -> bool:
+        return any(satisfies(index, constraints)
+                   for index in range(len(plans)))
 
     # Deletion-based minimal unsatisfiable core: drop each constraint in
     # turn; keep it only when the remainder becomes satisfiable without
     # it.  The result is subset-minimal (every member is necessary).
-    core = list(all_constraints)
+    core = [("compliance", request) for request in requests]
+    core.append(("security", None))
     for constraint in list(core):
         rest = tuple(c for c in core if c != constraint)
         if not satisfiable(rest):
             core.remove(constraint)
 
+    # With security in the core, some plan meets the core's compliance
+    # constraints, and every such plan is insecure: the first one met
+    # gives the witness.
     security_witness = None
-    if any(kind == "security" for kind, _ in core):
-        for plan in plans:
-            if not all(_binding_complies(plan, request, compliant_of)
-                       for request in sorted(bodies)):
-                continue
-            report = security_cache.get(plan)
-            if report is None:
-                report = analyze_plan(client, plan, repository,
-                                      location, prune=False)
-                security_cache[plan] = report
-            if not report.security.secure:
+    if ("security", None) in core:
+        needed = tuple(c for c in core if c[0] == "compliance")
+        for index, plan in enumerate(plans):
+            if satisfies(index, needed):
+                report = plan_security(client, plan, repository, location)
                 security_witness = witness_from_history(
-                    report.security.history_labels())
+                    report.history_labels())
                 break
 
     constraints = []
     for kind, request in core:
-        if kind == "compliance":
-            constraints.append(CoreConstraint(
-                "compliance", request, refusals_of.get(request, ()),
-                accepting_of.get(request, ())))
-        else:
+        if kind == "security":
             constraints.append(CoreConstraint("security"))
+            continue
+        bound = [loc for loc in options_for(request)
+                 if (request, loc) in serves]
+        constraints.append(CoreConstraint(
+            "compliance", request,
+            tuple(BindingRefusal(loc, witness_of[(request, loc)])
+                  for loc in bound if not serves[(request, loc)]),
+            tuple(loc for loc in bound if serves[(request, loc)])))
     return PlanExplanation(location, tuple(constraints), security_witness,
-                           max(planner.metrics.get("plans_analyzed", 0),
-                               len(plans)))
+                           len(plans))
 
 
 track_cache("staticcheck.plans", _explain)
 
 
-def _binding_complies(plan, request: str, compliant_of) -> bool:
-    """Is the compliance constraint of *request* satisfied under *plan*?
-
-    A request the plan does not bind is not reachable under it (complete
-    plans bind exactly the transitively reachable requests), so the
-    constraint holds vacuously.
-    """
-    binding = plan.lookup(request)
-    if binding is None:
-        return True
-    return compliant_of.get((request, binding), False)
-
-
-def _reachable_requests(client: HistoryExpression, repository: Repository,
-                        candidates) -> dict[str, list[HistoryExpression]]:
-    """Request id → every distinct session body opened under it,
-    transitively through every candidate service a plan could select
-    (occurrences counted as in
-    :func:`~repro.analysis.planner.analyze_plan`)."""
-    bodies: dict[str, list[HistoryExpression]] = {}
+def _refusals_under(client: HistoryExpression, plan: Plan,
+                    repository: Repository, certify
+                    ) -> dict[str, ComplianceCertificate | None]:
+    """Request id → the first refusing certificate among the occurrences
+    of that id *plan* reaches, or ``None`` when each complies with the
+    bound service (``certify(body, service)`` decides one).  The
+    occurrences are walked as :func:`~repro.analysis.planner.analyze_plan`
+    walks them: once per distinct ``(id, body)``, through the services
+    the plan binds."""
+    refusals: dict[str, ComplianceCertificate | None] = {}
+    seen: set[tuple[str, HistoryExpression]] = set()
     queue = list(extract_requests(client))
     while queue:
         info = queue.pop(0)
-        known = bodies.setdefault(info.request, [])
-        if info.body in known:
+        occurrence = (info.request, info.body)
+        if occurrence in seen:
             continue
-        known.append(info.body)
-        if candidates is not None and info.request in candidates:
-            options = tuple(candidates[info.request])
-        else:
-            options = repository.locations()
-        for loc in options:
-            service = repository.get(loc)
-            if service is not None:
-                queue.extend(extract_requests(service))
-    return bodies
+        seen.add(occurrence)
+        service = repository.get(plan.lookup(info.request))
+        if service is None:
+            continue
+        if refusals.get(info.request) is None:
+            certificate = certify(info.body, service)
+            refusals[info.request] = (None if certificate.compliant
+                                      else certificate)
+        queue.extend(extract_requests(service))
+    return refusals
+
+
+def _unservable_requests(client: HistoryExpression, repository: Repository,
+                         options_for) -> list[str]:
+    """The request ids, reachable from *client* through candidate
+    services, that no candidate present in *repository* can take — why
+    no complete plan exists — sorted."""
+    unservable = []
+    visited: set[str] = set()
+    queue = list(extract_requests(client))
+    while queue:
+        request = queue.pop(0).request
+        if request in visited:
+            continue
+        visited.add(request)
+        services = [repository[loc] for loc in options_for(request)
+                    if loc in repository]
+        if not services:
+            unservable.append(request)
+        for service in services:
+            queue.extend(extract_requests(service))
+    return sorted(unservable)

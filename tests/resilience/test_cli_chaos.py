@@ -101,3 +101,24 @@ class TestChaosGoldens:
         expected = (ROOT / "examples" / "golden" / golden).read_text(
             encoding="utf-8")
         assert capsys.readouterr().out == expected
+
+
+class TestReportGoldens:
+    """The seeded runs the CI ``observability`` job compares with the
+    report goldens.  Each report runs under a fresh telemetry scope, so
+    its work counters match the goldens in-process too, whatever ran
+    before."""
+
+    @pytest.mark.parametrize("argv,golden", [
+        (["examples/resilient_booking.sus", "--seed", "7", "--trials", "8",
+          "--format", "json"], "resilient_booking.sus.report.json"),
+        (["examples/hotel_booking.sus", "--seed", "7", "--trials", "5",
+          "--format", "json"], "hotel_booking.sus.report.json"),
+    ], ids=["resilient", "hotel"])
+    def test_output_matches_the_golden(self, argv, golden, monkeypatch,
+                                       capsys):
+        monkeypatch.chdir(ROOT)
+        assert main(["report", *argv]) == 0
+        expected = (ROOT / "examples" / "golden" / golden).read_text(
+            encoding="utf-8")
+        assert capsys.readouterr().out == expected

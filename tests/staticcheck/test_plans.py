@@ -1,11 +1,14 @@
 """Unit tests for the plan explainer (minimal unsatisfiable cores) and
 the whole-module analysis engine."""
 
+import itertools
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.planner import find_valid_plans
+from repro.analysis.planner import (analyze_plan, enumerate_plans,
+                                    find_valid_plans)
+from repro.cli import main
 from repro.lang.module import parse_module
 from repro.network.repository import Repository
 from repro.staticcheck import analyze_module, explain_no_valid_plan
@@ -100,6 +103,62 @@ class TestExplainNoValidPlan:
             broken.clients["lc2"], broken.repository, location="lc2")
         assert explanation.to_json() == explanation.to_json()
         assert explanation.to_json()["satisfiable"] is False
+
+
+def meets(analysis, constraint) -> bool:
+    """Does the fully walked plan *analysis* satisfy one core member?"""
+    if constraint.kind == "security":
+        return analysis.secure
+    assert constraint.kind == "compliance"
+    return all(check.compliant for check in analysis.compliance
+               if check.request == constraint.request)
+
+
+class TestPlansConsidered:
+    """``--max-plans n`` bounds the plans the planner analyses, and the
+    explanation reasons over exactly those.  In enumeration order lc1's
+    valid plan 1[lbr] ∪ 3[ls3] is the 4th of 9 candidates and lc2's
+    2[lbr] ∪ 3[ls4] the 5th."""
+
+    VALID_FROM = {"lc1": (4, "1[lbr] ∪ 3[ls3]"),
+                  "lc2": (5, "2[lbr] ∪ 3[ls4]")}
+
+    @pytest.mark.parametrize("max_plans", range(1, 10))
+    def test_the_core_is_unsatisfiable_over_the_plans_considered(
+            self, hotel, max_plans):
+        analysis = analyze_module(hotel, max_plans=max_plans)
+        for report in analysis.plans:
+            first, plan = self.VALID_FROM[report.client]
+            if max_plans >= first:
+                assert report.valid and report.plan == plan
+                continue
+            term = hotel.clients[report.client]
+            considered = [
+                analyze_plan(term, candidate, hotel.repository,
+                             location=report.client)
+                for candidate in itertools.islice(
+                    enumerate_plans(term, hotel.repository), max_plans)]
+            explanation = report.explanation
+            assert explanation.plans_considered == len(considered) \
+                == max_plans
+            for candidate in considered:
+                assert not all(meets(candidate, constraint)
+                               for constraint in explanation.core)
+            if any(c.kind == "security" for c in explanation.core):
+                assert any(candidate.compliant and not candidate.secure
+                           for candidate in considered)
+                assert explanation.security_witness.replays()
+
+    @pytest.mark.parametrize("max_plans", range(1, 10))
+    def test_analyze_prints_the_valid_plan_once_considered(
+            self, capsys, max_plans):
+        status = main(["analyze", "--max-plans", str(max_plans),
+                       str(EXAMPLES / "hotel_booking.sus")])
+        out = capsys.readouterr().out
+        for client, (first, plan) in self.VALID_FROM.items():
+            line = f"  client {client}: valid plan {plan}"
+            assert (line in out.splitlines()) == (max_plans >= first)
+        assert status == (0 if max_plans >= 5 else 1)
 
 
 class TestAnalyzeModule:
