@@ -620,6 +620,16 @@ def _count(text: str) -> int:
     return value
 
 
+def _plan_bound(text: str) -> int:
+    """The argparse type of ``--max-plans``: an integer ``>= 1``.  A
+    planner pass over no plan cannot say whether a valid plan exists."""
+    value = _count(text)
+    if value == 0:
+        raise argparse.ArgumentTypeError(
+            "must be at least 1, got 0 (no plan would be analysed)")
+    return value
+
+
 #: The subcommands, in the order ``repro --help`` lists them.
 COMMANDS = ("check", "lint", "analyze", "canon", "registry", "verify",
             "compliance", "simulate", "chaos", "report", "explain", "dot",
@@ -689,7 +699,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                          default="text",
                          help="output format: human text (default) or "
                               "deterministic JSON (repro-analyze.v1)")
-    analyze.add_argument("--max-plans", type=_count, default=None,
+    analyze.add_argument("--max-plans", type=_plan_bound, default=None,
                          help="bound on the candidate plans per client")
     analyze.set_defaults(func=_cmd_analyze)
 
@@ -722,7 +732,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
     verify = add("verify", help="synthesise valid plans")
     verify.add_argument("network")
-    verify.add_argument("--max-plans", type=_count, default=None)
+    verify.add_argument("--max-plans", type=_plan_bound, default=None)
     verify.set_defaults(func=_cmd_verify)
 
     compliance = add("compliance", help="check one client/service pair")
@@ -739,7 +749,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     simulate.add_argument("network")
     simulate.add_argument("--seed", type=int, default=0)
     simulate.add_argument("--max-steps", type=_count, default=10_000)
-    simulate.add_argument("--max-plans", type=_count, default=None)
+    simulate.add_argument("--max-plans", type=_plan_bound, default=None)
     simulate.add_argument("--unmonitored", action="store_true")
     simulate.add_argument("--trace", action="store_true",
                           help="print the Figure-3-style step trace")
@@ -813,7 +823,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     trace.add_argument("network")
     trace.add_argument("--seed", type=int, default=0)
     trace.add_argument("--max-steps", type=_count, default=10_000)
-    trace.add_argument("--max-plans", type=_count, default=None)
+    trace.add_argument("--max-plans", type=_plan_bound, default=None)
     trace.add_argument("--out", default=None,
                        help="write the spans as JSONL to this file")
     trace.set_defaults(func=_cmd_trace)

@@ -22,7 +22,10 @@ states are hygiene, not defects:
   bisimilar (identical canonical forms, compared exactly, never by
   fingerprint alone): every client compliant with one is compliant with
   the other, so the later declaration is a duplicate of the earlier
-  twin.
+  twin.  Bisimilar contracts may still differ in what projection erases
+  (requests, events, framings), which plan validity depends on; the hint
+  recommends reusing the twin only when neither service has any, and
+  otherwise names what the two carry.
 * ``SUS051 non-minimal-contract`` — a service's bisimulation quotient
   is strictly smaller than its LTS: the contract as written carries
   redundant (bisimilar) states.
@@ -32,6 +35,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
+from repro.core.syntax import EventNode, Framing, HistoryExpression, Request
+from repro.lang.module import Declaration
 from repro.lint.context import LintContext
 from repro.lint.diagnostics import Diagnostic, Severity
 from repro.lint.registry import DEFAULT_REGISTRY as _REGISTRY
@@ -82,20 +87,50 @@ def _service_canonical_forms(ctx: LintContext):
                 "later one duplicates the earlier twin")
 def duplicate_contract(ctx: LintContext) -> Iterator[Diagnostic]:
     rule = _REGISTRY.get("SUS050")
-    first_with_key: dict[tuple, str] = {}
+    first_with_key: dict[tuple, Declaration] = {}
     for decl, form in _service_canonical_forms(ctx):
         twin = first_with_key.get(form.key)
         if twin is None:
-            first_with_key[form.key] = decl.name
+            first_with_key[form.key] = decl
             continue
         yield rule.diagnostic(
             f"service {decl.name!r} is canonically bisimilar to "
-            f"{twin!r}: every client compliant with one is compliant "
+            f"{twin.name!r}: every client compliant with one is compliant "
             f"with the other",
             span=decl.span,
             declaration=decl.name,
-            hint=f"the contracts are interchangeable — reuse {twin!r} "
-                 f"(or make the behavioural difference explicit)")
+            hint=_duplicate_hint(twin, decl))
+
+
+def _duplicate_hint(twin: Declaration, decl: Declaration) -> str:
+    """Reuse *twin* for *decl*, unless either carries behaviour the
+    contracts do not show; then say what each carries."""
+    erased = [(other.name, _erased(other.value)) for other in (twin, decl)]
+    if not any(parts for _name, parts in erased):
+        return (f"the contracts are interchangeable — reuse {twin.name!r} "
+                f"(or make the behavioural difference explicit)")
+    carried = "; ".join(f"{name!r} has {', '.join(parts) or 'none'}"
+                        for name, parts in erased)
+    return (f"projection erases what may tell them apart ({carried}); "
+            f"a swap can change which plans are valid")
+
+
+def _erased(term: HistoryExpression) -> tuple[str, ...]:
+    """The requests, events and framings of *term*, each named once, in
+    pre-order: the behaviour its projected contract does not show."""
+    found: list[str] = []
+    for node in term.walk():
+        if isinstance(node, Request):
+            item = f"request {node.request}"
+        elif isinstance(node, EventNode):
+            item = f"event {node.event}"
+        elif isinstance(node, Framing):
+            item = f"framing {getattr(node.policy, 'name', node.policy)}"
+        else:
+            continue
+        if item not in found:
+            found.append(item)
+    return tuple(found)
 
 
 @_REGISTRY.rule("SUS051", "non-minimal-contract", Severity.INFO,

@@ -26,12 +26,20 @@ The filter is incremental: each component carries the
 :class:`~repro.core.validity.ValidityMonitor` that has consumed its
 history, and a move is checked by extending a copy of it with the labels
 the move appends, never by re-checking the whole history.
+
+Stepping is incremental too.  A step rewrites one root path of one
+component's session tree, and the moves of a sub-tree depend only on the
+sub-tree, the plan, the repository and the commit mode.  So
+:func:`network_transitions` takes a table of sub-tree move memos, one per
+plan, and a caller that steps one network many times (the simulator, a
+chaos campaign) passes the same table to every call: the sub-trees a step
+left alone are memo hits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from repro.core.actions import (TAU, Event, FrameClose, FrameOpen,
                                 HistoryLabel, Label, Receive, Send,
@@ -46,8 +54,7 @@ from repro.network.config import (Component, Configuration, Leaf,
 from repro.network.repository import Repository
 
 
-@dataclass(frozen=True, slots=True)
-class TreeMove:
+class TreeMove(NamedTuple):
     """A potential move of a session tree.
 
     ``kind`` is the rule that produced it: ``"access"`` (events and
@@ -57,6 +64,16 @@ class TreeMove:
     :func:`tree_moves`).
 
     ``appends`` are the labels the move adds to the component history.
+
+    ``participants`` are the locations whose leaves the rule fires, the
+    acting leaf first: the leaf itself for ``access``, ``commit`` and
+    offers, the opener and the plan's target for ``open``, the left and
+    the right leaf for ``synch``, the opener and the partner it discards
+    for ``close``.  Rule *Session* lifts a move with its participants.
+
+    A named tuple, because the planner's assembly builds one per edge of
+    every LTS it explores and a tuple is the cheapest immutable record
+    to build.
     """
 
     kind: str
@@ -65,6 +82,7 @@ class TreeMove:
     appends: tuple[HistoryLabel, ...] = ()
     location: str = ""
     channel: str = ""
+    participants: tuple[str, ...] = ()
 
     def is_internal(self) -> bool:
         """True for moves a session context can lift as-is (rule
@@ -75,7 +93,7 @@ class TreeMove:
 def tree_moves(tree: SessionTree, plan: Plan,
                repository: Repository,
                commit_outputs: bool = False,
-               _memo: dict | None = None) -> tuple[TreeMove, ...]:
+               memo: dict | None = None) -> tuple[TreeMove, ...]:
     """All moves of *tree* under *plan*, **including** unmatched
     communication offers of the root (callers normally want
     :func:`component_moves`, which drops them).
@@ -89,15 +107,17 @@ def tree_moves(tree: SessionTree, plan: Plan,
     exhaustive exploration a sound oracle for compliance.
 
     A sub-tree's moves depend only on the sub-tree, *plan*, *repository*
-    and *commit_outputs*, so they are computed once per *_memo*: a caller
-    exploring many trees under those three (an assembled LTS changes one
-    sub-tree per move) passes one dict to every call.  Never share it
-    across plans; without one, each call starts a fresh memo.
+    and *commit_outputs*, so they are computed once per *memo*: a caller
+    visiting many trees under those four (an assembled LTS, or a run,
+    changes one root path per move) passes one dict to every call, and it
+    stays sound for as long as the four stay fixed.  Never share it across
+    plans, repositories or commit modes; without one, each call starts a
+    fresh memo.
     """
-    if _memo is None:
-        _memo = {}
+    if memo is None:
+        memo = {}
     else:
-        known = _memo.get(tree)
+        known = memo.get(tree)
         if known is not None:
             return known
     if isinstance(tree, Leaf):
@@ -105,9 +125,9 @@ def tree_moves(tree: SessionTree, plan: Plan,
     else:
         moves = tuple(_session_moves(
             tree,
-            tree_moves(tree.left, plan, repository, commit_outputs, _memo),
-            tree_moves(tree.right, plan, repository, commit_outputs, _memo)))
-    _memo[tree] = moves
+            tree_moves(tree.left, plan, repository, commit_outputs, memo),
+            tree_moves(tree.right, plan, repository, commit_outputs, memo)))
+    memo[tree] = moves
     return moves
 
 
@@ -119,12 +139,14 @@ def _session_moves(tree: SessionNode, left_moves, right_moves
         if move.is_internal():
             yield TreeMove(move.kind, move.label,
                            SessionNode(move.tree, tree.right),
-                           move.appends, move.location, move.channel)
+                           move.appends, move.location, move.channel,
+                           move.participants)
     for move in right_moves:
         if move.is_internal():
             yield TreeMove(move.kind, move.label,
                            SessionNode(tree.left, move.tree),
-                           move.appends, move.location, move.channel)
+                           move.appends, move.location, move.channel,
+                           move.participants)
 
     # Rules Synch and Close apply to the direct participants only.
     if isinstance(tree.left, Leaf) and isinstance(tree.right, Leaf):
@@ -134,22 +156,20 @@ def _session_moves(tree: SessionNode, left_moves, right_moves
 
 def _leaf_moves(leaf: Leaf, plan: Plan, repository: Repository,
                 commit_outputs: bool = False) -> Iterator[TreeMove]:
+    location = leaf.location
+    alone = (location,)
     if commit_outputs:
         outputs = [(label, successor) for label, successor in step(leaf.term)
                    if isinstance(label, Send)]
         if len(outputs) > 1:
             for label, successor in outputs:
                 committed = InternalChoice(((label, successor),))
-                yield TreeMove("commit", TAU,
-                               Leaf(leaf.location, committed), (),
-                               leaf.location, label.channel)
+                yield TreeMove("commit", TAU, Leaf(location, committed),
+                               (), location, label.channel, alone)
     for label, successor in step(leaf.term):
-        if isinstance(label, Event):
-            yield TreeMove("access", label, Leaf(leaf.location, successor),
-                           (label,), leaf.location)
-        elif isinstance(label, (FrameOpen, FrameClose)):
-            yield TreeMove("access", label, Leaf(leaf.location, successor),
-                           (label,), leaf.location)
+        if isinstance(label, (Event, FrameOpen, FrameClose)):
+            yield TreeMove("access", label, Leaf(location, successor),
+                           (label,), location, "", alone)
         elif isinstance(label, SessionOpen):
             target = plan.lookup(label.request)
             if target is None:
@@ -162,18 +182,17 @@ def _leaf_moves(leaf: Leaf, plan: Plan, repository: Repository,
                 appends = (FrameOpen(label.policy),)
             yield TreeMove(
                 "open", label,
-                SessionNode(Leaf(leaf.location, successor),
+                SessionNode(Leaf(location, successor),
                             Leaf(target, service)),
-                appends, leaf.location)
+                appends, location, "", (location, target))
         elif isinstance(label, SessionClose):
             # Only fires inside a session node (rule Close); expose as an
             # offer the parent recognises.
-            yield TreeMove("offer-close", label,
-                           Leaf(leaf.location, successor), (),
-                           leaf.location)
+            yield TreeMove("offer-close", label, Leaf(location, successor),
+                           (), location, "", alone)
         elif isinstance(label, (Send, Receive)):
-            yield TreeMove("offer", label, Leaf(leaf.location, successor),
-                           (), leaf.location)
+            yield TreeMove("offer", label, Leaf(location, successor),
+                           (), location, "", alone)
         else:  # pragma: no cover - no other labels exist
             raise TypeError(f"unexpected label {label!r}")
 
@@ -191,27 +210,36 @@ def _synchronisations(tree: SessionNode, left_moves, right_moves
         for partner in right_by_label.get(co(move.label), ()):
             yield TreeMove("synch", TAU,
                            SessionNode(move.tree, partner.tree), (),
-                           move.location, move.label.channel)
+                           move.location, move.label.channel,
+                           (move.location, partner.location))
 
 
 def _session_closes(tree: SessionNode, left_moves) -> Iterator[TreeMove]:
     """Rule Close: the opener (left leaf) fires ``close_{r,φ}``."""
-    assert isinstance(tree.right, Leaf)
+    partner = tree.right
+    assert isinstance(partner, Leaf)
     for move in left_moves:
         if move.kind != "offer-close":
             continue
         label = move.label
         assert isinstance(label, SessionClose)
-        appends = pending_frame_closes(tree.right.term)
+        appends = pending_frame_closes(partner.term)
         if label.policy is not None:
             appends = appends + (FrameClose(label.policy),)
-        yield TreeMove("close", label, move.tree, appends, move.location)
+        yield TreeMove("close", label, move.tree, appends, move.location,
+                       "", (move.location, partner.location))
 
 
 @dataclass(frozen=True, slots=True)
 class NetworkTransition:
     """One transition of a configuration: which component moved, by which
-    rule/label, and the successor configuration."""
+    rule/label, and the successor configuration.
+
+    ``participants`` are the locations whose leaves the rule fires (see
+    :class:`TreeMove`), read off the move itself: a leaf whose term the
+    move leaves unchanged (a one-action loop steps to itself) is a
+    participant all the same.
+    """
 
     component: int
     rule: str
@@ -220,6 +248,7 @@ class NetworkTransition:
     appends: tuple[HistoryLabel, ...] = ()
     location: str = ""
     channel: str = ""
+    participants: tuple[str, ...] = ()
 
     def __str__(self) -> str:
         return (f"component {self.component} --{self.label}--> "
@@ -227,7 +256,8 @@ class NetworkTransition:
 
 
 def _fireable(component: Component, plan: Plan, repository: Repository,
-              enforce_validity: bool, commit_outputs: bool
+              enforce_validity: bool, commit_outputs: bool,
+              memo: dict | None
               ) -> Iterator[tuple[TreeMove, ValidityMonitor | None]]:
     """The fireable moves of *component*, each with the monitor the
     component it leads to carries (``None``: replay on first use).
@@ -238,7 +268,7 @@ def _fireable(component: Component, plan: Plan, repository: Repository,
     component's own monitor is built only when a move needs it.
     """
     for move in tree_moves(component.tree, plan, repository,
-                           commit_outputs):
+                           commit_outputs, memo):
         if not move.is_internal():
             continue
         if not move.appends:
@@ -258,7 +288,7 @@ def component_moves(component: Component, plan: Plan,
     """The fireable moves of one component (offers pruned, validity filter
     optionally applied — the paper's angelic semantics)."""
     for move, _monitor in _fireable(component, plan, repository,
-                                    enforce_validity, commit_outputs):
+                                    enforce_validity, commit_outputs, None):
         yield move
 
 
@@ -270,21 +300,38 @@ def apply_move(component: Component, move: TreeMove) -> Component:
 def network_transitions(configuration: Configuration, plans,
                         repository: Repository,
                         enforce_validity: bool = True,
-                        commit_outputs: bool = False
+                        commit_outputs: bool = False,
+                        memos: dict | None = None
                         ) -> Iterator[NetworkTransition]:
     """All transitions of *configuration* under the plan vector *plans*
-    (rule Net: any component may move)."""
+    (rule Net: any component may move).
+
+    *memos* maps each plan to its sub-tree move memo (see
+    :func:`tree_moves`); missing memos are added.  The table serves one
+    *repository* and one *commit_outputs*, and within them it stays
+    sound for as long as its owner keeps it, since a memo's entries
+    depend only on their tree and plan.  A caller stepping one network
+    many times passes the same table to every call, so only the root
+    path the last step rewrote is computed afresh; without one, the call
+    starts an empty table.
+    """
+    if memos is None:
+        memos = {}
     for index, component in enumerate(configuration.components):
         plan = plans[index] if not isinstance(plans, Plan) else plans
+        memo = memos.get(plan)
+        if memo is None:
+            memo = memos[plan] = {}
         for move, monitor in _fireable(component, plan, repository,
-                                       enforce_validity, commit_outputs):
+                                       enforce_validity, commit_outputs,
+                                       memo):
             history = (component.history.extend(move.appends)
                        if move.appends else component.history)
             moved = Component._carrying(history, move.tree, monitor)
             successor = configuration.replace(index, moved)
             yield NetworkTransition(index, move.kind, move.label, successor,
                                     move.appends, move.location,
-                                    move.channel)
+                                    move.channel, move.participants)
 
 
 def stuck_components(configuration: Configuration, plans,

@@ -11,6 +11,10 @@ recorded).
 Schedulers: deterministic round-robin, seeded random, or caller-supplied
 selection via :meth:`Simulator.fire_matching` — the latter is how the
 test suite replays the exact step sequence of Figure 3.
+
+A simulator steps incrementally: it keeps one sub-tree move memo per plan
+for as long as it lives, so each tick computes the moves of the one root
+path the last step rewrote and finds every other sub-tree in the memo.
 """
 
 from __future__ import annotations
@@ -83,17 +87,27 @@ class TraceLog:
 
 
 class Simulator:
-    """An explicit-state interpreter for network configurations."""
+    """An explicit-state interpreter for network configurations.
+
+    *memos* is the per-plan table of sub-tree move memos the run steps
+    with (:func:`~repro.network.semantics.network_transitions`); by
+    default the simulator starts its own.  Simulators over the same
+    *repository* may share one table: a memo's entries depend only on
+    the tree, the plan, the repository and the commit mode, and a
+    simulator always steps without output commitment.
+    """
 
     def __init__(self, configuration: Configuration,
                  plans: PlanVector | Plan,
                  repository: Repository,
                  monitored: bool = True,
-                 seed: int | None = None) -> None:
+                 seed: int | None = None,
+                 memos: dict | None = None) -> None:
         self.configuration = configuration
         self.plans = plans
         self.repository = repository
         self.monitored = monitored
+        self._memos = {} if memos is None else memos
         self.log = TraceLog()
         self._random = random.Random(seed)
         # Per-component telemetry spans: a lazily opened root span per
@@ -113,7 +127,8 @@ class Simulator:
         """The transitions enabled right now."""
         return list(network_transitions(self.configuration, self.plans,
                                         self.repository,
-                                        enforce_validity=self.monitored))
+                                        enforce_validity=self.monitored,
+                                        memos=self._memos))
 
     def histories(self) -> tuple[History, ...]:
         """The per-component histories of the current configuration."""

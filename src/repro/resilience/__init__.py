@@ -18,9 +18,8 @@ The package layers resilience over :mod:`repro.network`:
 from repro.resilience.checkpoints import (Checkpoint, RollbackPolicy,
                                           move_key)
 from repro.resilience.faults import (FAULT_KINDS, Fault, FaultPlan,
-                                     involved_locations, module_requests,
-                                     mutate_term, sample_fault_plan,
-                                     service_channels)
+                                     module_requests, mutate_term,
+                                     sample_fault_plan, service_channels)
 from repro.resilience.harness import (CHAOS_SCHEMA, ChaosReport,
                                       TrialResult, UnverifiedModuleError,
                                       run_chaos)
@@ -32,9 +31,8 @@ from repro.resilience.supervisor import (BREAKER_EDGES, CircuitBreaker,
 
 __all__ = [
     "Checkpoint", "RollbackPolicy", "move_key",
-    "FAULT_KINDS", "Fault", "FaultPlan", "involved_locations",
-    "module_requests", "mutate_term", "sample_fault_plan",
-    "service_channels",
+    "FAULT_KINDS", "Fault", "FaultPlan", "module_requests", "mutate_term",
+    "sample_fault_plan", "service_channels",
     "BackoffPolicy", "RecoveryEpisode", "compensate", "replan",
     "residual_frame_closes",
     "BREAKER_EDGES", "CircuitBreaker", "Supervisor", "SupervisorResult",

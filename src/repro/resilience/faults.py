@@ -3,12 +3,13 @@
 A :class:`Fault` is one injectable misbehaviour of the deployed network,
 triggered on the supervisor's simulated clock:
 
-* ``crash`` — the service at a location dies: every transition involving
-  the location (synchronisations, session opens routed to it, its own
-  accesses) is suppressed from ``at_step`` on, forever;
+* ``crash`` — the service at a location dies: every transition the
+  location participates in (synchronisations, session opens routed to
+  it, closes that discard it, its own accesses) is suppressed from
+  ``at_step`` on, forever;
 * ``drop`` — the service at a location withholds one output its contract
-  promises: synchronisations on the channel involving the location are
-  suppressed while the fault is active (optionally bounded by
+  promises: synchronisations on the channel the location participates in
+  are suppressed while the fault is active (optionally bounded by
   ``duration`` ticks — a transient network partition);
 * ``stall`` — a session open for a request hangs: ``open`` transitions
   for the request are suppressed while the fault is active;
@@ -24,7 +25,8 @@ explicitly or sampled deterministically from a seed
 (:func:`sample_fault_plan`), which is what the chaos harness does.
 
 Fault *application* is split between this module (which faults block
-which transitions, which term rewrites are due) and the
+which transitions, read off each transition's ``participants``, and
+which term rewrites are due) and the
 :class:`~repro.resilience.supervisor.Supervisor` (which owns the clock
 and the simulator being disturbed).
 """
@@ -32,14 +34,12 @@ and the simulator being disturbed).
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 
 from repro.core.actions import Send
 from repro.core.syntax import (ExternalChoice, Framing,
                                HistoryExpression, InternalChoice, Mu,
                                Request, Seq, receive, seq)
-from repro.network.config import SessionTree, leaves
 from repro.network.repository import Repository
 from repro.network.semantics import NetworkTransition
 
@@ -96,25 +96,6 @@ class Fault:
         return f"byzantine deviation of {self.location} at tick {self.at_step}"
 
 
-def involved_locations(before: SessionTree,
-                       after: SessionTree) -> frozenset[str]:
-    """The locations a transition touched, computed by diffing the
-    component's session tree before and after the move.
-
-    A synchronisation changes both participants' terms; an open changes
-    the opener and adds the joined service; a close changes the opener
-    and discards the partner — in every case the touched leaves differ
-    between the two trees, so the symmetric multiset difference of
-    ``(location, term)`` leaves names exactly the participants.
-    """
-    before_leaves = Counter((leaf.location, leaf.term)
-                            for leaf in leaves(before))
-    after_leaves = Counter((leaf.location, leaf.term)
-                           for leaf in leaves(after))
-    changed = (before_leaves - after_leaves) + (after_leaves - before_leaves)
-    return frozenset(location for location, _term in changed)
-
-
 @dataclass(frozen=True)
 class FaultPlan:
     """An immutable, ordered collection of faults (possibly empty).
@@ -133,33 +114,25 @@ class FaultPlan:
         return iter(self.faults)
 
     def blocking_fault(self, transition: NetworkTransition,
-                       before: SessionTree, now: int) -> Fault | None:
-        """The first active fault suppressing *transition*, or ``None``.
+                       now: int) -> Fault | None:
+        """The first active fault suppressing *transition* at tick *now*,
+        or ``None``.
 
-        *before* is the moved component's session tree prior to the
-        transition (needed to compute the involved locations).
+        A crash suppresses every transition its location participates
+        in, a drop every synchronisation on its channel its location
+        participates in (``transition.participants``).
         """
-        involved: frozenset[str] | None = None
         for fault in self.faults:
             if not fault.active(now):
                 continue
             if fault.kind == "crash":
-                if involved is None:
-                    involved = involved_locations(
-                        before, transition.successor[transition.component]
-                        .tree)
-                if fault.location in involved:
+                if fault.location in transition.participants:
                     return fault
             elif fault.kind == "drop":
                 if (transition.rule == "synch"
-                        and transition.channel == fault.channel):
-                    if involved is None:
-                        involved = involved_locations(
-                            before,
-                            transition.successor[transition.component]
-                            .tree)
-                    if fault.location in involved:
-                        return fault
+                        and transition.channel == fault.channel
+                        and fault.location in transition.participants):
+                    return fault
             elif fault.kind == "stall":
                 if (transition.rule == "open"
                         and getattr(transition.label, "request", None)

@@ -17,6 +17,13 @@ contract — it always knows *why* a run stopped.
 Everything is seeded and runs on the simulated clock, so a report for a
 given ``(module, seed, trials, kinds)`` tuple is reproducible byte for
 byte (no wall time appears anywhere in the output).
+
+The trials of one campaign step with one table of sub-tree move memos,
+one memo per plan (see
+:func:`~repro.network.semantics.network_transitions`): they share the
+repository and the commit mode, a replan adds its new plan's memo, and
+byzantine rewrites and rollbacks only reach new or earlier trees.  The
+table lives as long as the campaign.
 """
 
 from __future__ import annotations
@@ -232,6 +239,7 @@ def run_chaos(clients, repository: Repository, *,
     plans = verdict.plan_vector()
     requests = module_requests(clients, repository)
     rng = random.Random(seed)
+    memos: dict = {}
     report = ChaosReport(module=module, seed=seed, trials=trials,
                          kinds=tuple(kinds), recover=recover,
                          rollback=rollback_policy.enabled,
@@ -252,7 +260,8 @@ def run_chaos(clients, repository: Repository, *,
                                 breaker_cooldown=breaker_cooldown,
                                 max_steps=max_steps,
                                 deadline=deadline,
-                                seed=trial_seed)
+                                seed=trial_seed,
+                                memos=memos)
         if tel is not None:
             # Every event of the trial — fault injections, aborts,
             # recoveries, the verdict — carries the trial's session id,

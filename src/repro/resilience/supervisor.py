@@ -45,8 +45,7 @@ from repro.network.simulator import Simulator
 from repro.observability import runtime as _telemetry
 from repro.resilience.checkpoints import (Checkpoint, MoveKey,
                                           RollbackPolicy, move_key)
-from repro.resilience.faults import Fault, FaultPlan, involved_locations, \
-    mutate_term
+from repro.resilience.faults import Fault, FaultPlan, mutate_term
 from repro.resilience.recovery import (BackoffPolicy, RecoveryEpisode,
                                        compensate, replan)
 
@@ -171,6 +170,9 @@ class Supervisor:
     *clients* maps client locations to their behaviours (the same shape
     the CLI and :func:`~repro.analysis.verification.verify_network`
     use); *plans* is the verified plan vector the run starts from.
+    *memos* is the simulator's per-plan table of sub-tree move memos
+    (see :class:`~repro.network.simulator.Simulator`): supervisors over
+    one *repository* may share it, as the trials of a chaos campaign do.
     """
 
     def __init__(self, clients, plans: PlanVector,
@@ -183,7 +185,8 @@ class Supervisor:
                  breaker_cooldown: int = 6,
                  max_steps: int = 2_000,
                  deadline: int | None = None,
-                 seed: int = 0) -> None:
+                 seed: int = 0,
+                 memos: dict | None = None) -> None:
         self.clients = dict(clients)
         self.client_locations = tuple(self.clients)
         self.repository = repository
@@ -203,7 +206,8 @@ class Supervisor:
             for location, term in self.clients.items()))
         self.simulator = Simulator(configuration,
                                    PlanVector(tuple(self._plans)),
-                                   repository, monitored=True, seed=seed)
+                                   repository, monitored=True, seed=seed,
+                                   memos=memos)
         self._rng = random.Random(seed)
         self._fault_rng = random.Random(seed ^ 0x5EED)
         self.clock = 0
@@ -282,10 +286,7 @@ class Supervisor:
         blocking: dict[int, Fault] = {}
         tel = _telemetry.active()
         for transition in raw:
-            before = self.simulator.configuration[
-                transition.component].tree
-            fault = self.fault_plan.blocking_fault(transition, before,
-                                                   self.clock)
+            fault = self.fault_plan.blocking_fault(transition, self.clock)
             if fault is not None:
                 self.blocked_transitions += 1
                 blocking.setdefault(transition.component, fault)
@@ -294,11 +295,10 @@ class Supervisor:
                                         kind=fault.kind).inc()
                     self._note_fault(tel, fault)
                 continue
-            if transition.rule == "open":
-                target = self._open_target(transition, before)
-                if target is not None and not self._breaker_allows(target):
-                    self.blocked_transitions += 1
-                    continue
+            if (transition.rule == "open"
+                    and not self._breaker_allows(_open_target(transition))):
+                self.blocked_transitions += 1
+                continue
             allowed.append(transition)
         return raw, allowed, blocking
 
@@ -326,13 +326,6 @@ class Supervisor:
             if fault.location and fault.location in engaged:
                 return seq
         return None
-
-    def _open_target(self, transition: NetworkTransition,
-                     before) -> str | None:
-        involved = involved_locations(
-            before, transition.successor[transition.component].tree)
-        targets = sorted(involved - {transition.location})
-        return targets[0] if targets else None
 
     # -- session/breaker bookkeeping ----------------------------------------
 
@@ -386,10 +379,7 @@ class Supervisor:
     def _note_fired(self, transition: NetworkTransition) -> None:
         stack = self._session_targets[transition.component]
         if transition.rule == "open":
-            before = self.simulator.configuration[
-                transition.component].tree
-            target = self._open_target(transition, before)
-            stack.append(target or transition.location)
+            stack.append(_open_target(transition))
         elif transition.rule == "close" and stack:
             location = stack.pop()
             breaker = self.breakers.get(location)
@@ -717,6 +707,12 @@ class Supervisor:
                 new_plan=str(new_plan),
                 excluded=", ".join(excluded), tick=self.clock,
                 cause=self._last_event_seq).seq
+
+
+def _open_target(transition: NetworkTransition) -> str:
+    """The location an ``open`` transition routes its request to: the
+    second of its participants, after the opener."""
+    return transition.participants[1]
 
 
 def _rewrite_leaves(tree, location: str, rewrite):

@@ -13,11 +13,11 @@ from repro.core.actions import Event
 from repro.core.plans import Plan
 from repro.core.syntax import (event, external, internal, receive, request,
                                send, seq)
-from repro.network.config import Leaf, SessionNode
+from repro.network.config import Leaf
 from repro.network.repository import Repository
-from repro.network.semantics import (TreeMove, _leaf_moves, _session_closes,
-                                     _synchronisations)
 from repro.paper import figure2
+
+from tests.oracles.stepping import tree_moves as oracle_tree_moves
 
 
 class TestAssembly:
@@ -92,31 +92,6 @@ class TestDeadlocks:
 
 
 # -- the per-assembly sub-tree memo ------------------------------------------
-
-def oracle_tree_moves(tree, plan, repository, commit_outputs):
-    """``tree_moves`` as first written: a generator that recomputes the
-    moves of every sub-tree for every tree it is asked about."""
-    if isinstance(tree, Leaf):
-        yield from _leaf_moves(tree, plan, repository, commit_outputs)
-        return
-    left_moves = tuple(oracle_tree_moves(tree.left, plan, repository,
-                                         commit_outputs))
-    right_moves = tuple(oracle_tree_moves(tree.right, plan, repository,
-                                          commit_outputs))
-    for move in left_moves:
-        if move.is_internal():
-            yield TreeMove(move.kind, move.label,
-                           SessionNode(move.tree, tree.right),
-                           move.appends, move.location, move.channel)
-    for move in right_moves:
-        if move.is_internal():
-            yield TreeMove(move.kind, move.label,
-                           SessionNode(tree.left, move.tree),
-                           move.appends, move.location, move.channel)
-    if isinstance(tree.left, Leaf) and isinstance(tree.right, Leaf):
-        yield from _synchronisations(tree, left_moves, right_moves)
-        yield from _session_closes(tree, left_moves)
-
 
 def oracle_assemble(client, plan, repository, location, commit_outputs):
     def successors(tree):

@@ -358,9 +358,9 @@ COUNT_OPTIONS = [
 
 
 class TestCountOptions:
-    """Count options take integers >= 0: a negative one is a usage error
-    (exit 2, argparse's one-line message), never a traceback or a run
-    that silently does nothing."""
+    """Count options take integers >= 0, and ``--max-plans`` integers
+    >= 1: anything else is a usage error (exit 2, argparse's one-line
+    message), never a traceback or a run that silently does nothing."""
 
     @pytest.mark.parametrize("command, option", COUNT_OPTIONS)
     def test_negative_count_is_a_usage_error(self, command, option):
@@ -373,10 +373,36 @@ class TestCountOptions:
         assert f"error: argument {option}: " in result.stderr
         assert "Traceback" not in result.stderr
 
-    @pytest.mark.parametrize("command, option", COUNT_OPTIONS)
+    @pytest.mark.parametrize("command, option", [
+        (command, option) for command, option in COUNT_OPTIONS
+        if option != "--max-plans"])
     def test_zero_is_accepted(self, command, option):
         args = build_parser().parse_args([command, "net.sus", option, "0"])
         assert getattr(args, option[2:].replace("-", "_")) == 0
+
+    @pytest.mark.parametrize("command", ["analyze", "verify", "simulate",
+                                         "trace"])
+    def test_zero_max_plans_is_a_usage_error(self, command):
+        # A planner pass over no plan cannot tell whether a valid plan
+        # exists, so it must not report "NO valid plan".
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.cli", command,
+             str(ROOT / "examples" / "hotel_booking.sus"), "--max-plans",
+             "0"],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+        assert result.returncode == 2, result.stdout
+        assert result.stdout == ""
+        (line,) = [line for line in result.stderr.splitlines()
+                   if "error:" in line]
+        assert line.endswith("error: argument --max-plans: must be at "
+                             "least 1, got 0 (no plan would be analysed)")
+        assert "Traceback" not in result.stderr
+
+    def test_one_plan_is_accepted(self):
+        args = build_parser().parse_args(["verify", "net.sus",
+                                          "--max-plans", "1"])
+        assert args.max_plans == 1
 
 
 def _parse(parser, argv, capsys):

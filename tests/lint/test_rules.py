@@ -219,6 +219,30 @@ class TestCanonRules:
         assert "'s1'" in diagnostic.message
         assert "'s1'" in diagnostic.hint
 
+    def test_no_reuse_hint_when_projection_erases_a_request(self):
+        # sA and sB both project to ?Go, but sA also opens request 2,
+        # which no service serves: swapping sA in for sB would invalidate
+        # the module's only valid plan, 1[sB] ∪ 2[sX].
+        path = (Path(__file__).parents[1] / "analysis" / "fixtures"
+                / "request_id_two_bodies.sus")
+        (diagnostic,) = lint_file(path, select=["SUS050"])
+        assert diagnostic.declaration == "sB"
+        assert "'sA'" in diagnostic.message
+        assert "reuse" not in diagnostic.hint
+        assert "'sA' has request 2; 'sB' has none" in diagnostic.hint
+
+    def test_no_reuse_hint_when_projection_erases_events_or_framings(self):
+        source = """
+        policy phi = hotel(bl = {1}, p = 45, t = 100)
+        client c = open 1 { !Ping . ?Pong }
+        service s1 = @sgn(1) ; ?Ping . !Pong
+        service s2 = frame phi { ?Ping . !Pong }
+        """
+        (diagnostic,) = lint_source(source, select=["SUS050"])
+        assert "reuse" not in diagnostic.hint
+        assert "'s1' has event @sgn(1)" in diagnostic.hint
+        assert "'s2' has framing phi" in diagnostic.hint
+
     def test_distinct_contracts_stay_silent(self):
         source = """
         client c = open 1 { !Ping }

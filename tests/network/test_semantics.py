@@ -3,8 +3,8 @@ Access, Synch) and the demonic commit mode."""
 
 from repro.core.actions import (Event, FrameClose, FrameOpen, TAU)
 from repro.core.plans import Plan
-from repro.core.syntax import (EPSILON, Framing, event, external, internal,
-                               receive, request, send, seq)
+from repro.core.syntax import (EPSILON, Framing, Mu, Var, event, external,
+                               internal, receive, request, send, seq)
 from repro.core.validity import History, ValidityMonitor
 from repro.network.config import (Component, Configuration, Leaf,
                                   SessionNode)
@@ -251,3 +251,69 @@ class TestCommitMode:
         moves = moves_of(component, Plan.empty(), Repository(),
                          commit_outputs=True)
         assert all(m.kind != "commit" for m in moves)
+
+
+class TestParticipants:
+    """Every move names the locations whose leaves its rule fires, and
+    rule Session lifts it with them."""
+
+    def test_access_and_commit_name_the_leaf(self):
+        (access,) = moves_of(Component.client("loc", event("e")),
+                             Plan.empty(), Repository())
+        assert access.participants == ("loc",)
+        tree = SessionNode(Leaf("c", internal(("a", EPSILON),
+                                              ("b", EPSILON))),
+                           Leaf("s", receive("a")))
+        commits = [m for m in moves_of(Component(History(), tree),
+                                       Plan.empty(), Repository(),
+                                       commit_outputs=True)
+                   if m.kind == "commit"]
+        assert [m.participants for m in commits] == [("c",), ("c",)]
+
+    def test_open_names_the_opener_and_the_target(self):
+        component = Component.client("me", request("r", None, send("a")))
+        repo = Repository({"srv": receive("a")})
+        (move,) = moves_of(component, Plan.single("r", "srv"), repo)
+        assert move.kind == "open"
+        assert move.participants == ("me", "srv")
+
+    def test_synch_names_both_leaves_even_when_neither_changes(self):
+        # Terms are interned: a one-action loop steps to itself, so the
+        # synch leaves the tree as it was.
+        tree = SessionNode(Leaf("c", Mu("k", receive("a", Var("k")))),
+                           Leaf("s", Mu("h", send("a", Var("h")))))
+        (synch,) = moves_of(Component(History(), tree), Plan.empty(),
+                            Repository())
+        assert synch.kind == "synch" and synch.tree == tree
+        assert synch.participants == ("c", "s")
+
+    def test_close_names_the_opener_and_the_discarded_partner(self):
+        component = Component.client("me", request("r", None, send("a")))
+        repo = Repository({"srv": receive("a")})
+        plan = Plan.single("r", "srv")
+        for expected in ("open", "synch"):
+            (move,) = [m for m in moves_of(component, plan, repo)
+                       if m.kind == expected]
+            component = apply_move(component, move)
+        (close,) = moves_of(component, plan, repo)
+        assert close.kind == "close"
+        assert close.participants == ("me", "srv")
+
+    def test_session_lifting_keeps_the_participants(self):
+        inner_request = request("r2", None, send("x"))
+        server = receive("go", inner_request)
+        repo = Repository({"srv": server, "inner": receive("x")})
+        plan = Plan.of({"r1": "srv", "r2": "inner"})
+        component = Component.client("me", request("r1", None, send("go")))
+        for expected in ("open", "synch"):
+            (move,) = [m for m in moves_of(component, plan, repo)
+                       if m.kind == expected]
+            component = apply_move(component, move)
+        (nested_open,) = [m for m in moves_of(component, plan, repo)
+                          if m.kind == "open"]
+        assert nested_open.participants == ("srv", "inner")
+        component = apply_move(component, nested_open)
+        (transition,) = network_transitions(
+            Configuration.of(component), plan, repo)
+        assert transition.rule == "synch"
+        assert transition.participants == ("srv", "inner")

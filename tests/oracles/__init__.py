@@ -18,4 +18,10 @@ same error at the same position, from both.
 shared compliance cache and no pruning; the partition tests require
 the same valid and invalid plans from it and from
 :func:`repro.analysis.planner.find_valid_plans`.
+
+:mod:`tests.oracles.stepping` is network stepping without the per-plan
+sub-tree move memo, and the tree diff the fault layer used to name a
+transition's participants; :mod:`tests.network.test_incremental_stepping`
+compares both with the simulator's stepping on every tick of seeded
+supervised runs.
 """

@@ -12,9 +12,10 @@ from repro.network.repository import Repository
 from repro.network.simulator import Simulator
 from repro.paper import figure2
 from repro.resilience.faults import (DEVIANT_SUFFIX, Fault, FaultPlan,
-                                     involved_locations, module_requests,
-                                     mutate_term, sample_fault_plan,
-                                     service_channels)
+                                     module_requests, mutate_term,
+                                     sample_fault_plan, service_channels)
+
+from tests.oracles.stepping import involved_locations
 
 
 def make_simulator():
@@ -55,6 +56,9 @@ class TestFault:
 
 
 class TestInvolvedLocations:
+    """The tree-diff oracle and the participants a transition carries
+    agree wherever every participant's term changes."""
+
     def test_open_involves_opener_and_target(self):
         simulator = make_simulator()
         transition = simulator.available()[0]
@@ -62,6 +66,7 @@ class TestInvolvedLocations:
         before = simulator.configuration[0].tree
         after = transition.successor[0].tree
         assert involved_locations(before, after) == {"me", "srv"}
+        assert transition.participants == ("me", "srv")
 
     def test_synch_involves_both_participants(self):
         simulator = make_simulator()
@@ -71,45 +76,42 @@ class TestInvolvedLocations:
         before = simulator.configuration[0].tree
         after = transition.successor[0].tree
         assert involved_locations(before, after) == {"me", "srv"}
+        assert transition.participants == ("me", "srv")
 
 
 class TestBlocking:
     def test_crash_blocks_open_to_location(self):
         simulator = make_simulator()
         transition = simulator.available()[0]
-        before = simulator.configuration[0].tree
         plan = FaultPlan((Fault("crash", location="srv"),))
-        fault = plan.blocking_fault(transition, before, now=0)
+        fault = plan.blocking_fault(transition, now=0)
         assert fault is not None and fault.kind == "crash"
 
     def test_crash_not_yet_armed_does_not_block(self):
         simulator = make_simulator()
         transition = simulator.available()[0]
-        before = simulator.configuration[0].tree
         plan = FaultPlan((Fault("crash", location="srv", at_step=9),))
-        assert plan.blocking_fault(transition, before, now=0) is None
+        assert plan.blocking_fault(transition, now=0) is None
 
     def test_stall_blocks_open_by_request(self):
         simulator = make_simulator()
         transition = simulator.available()[0]
-        before = simulator.configuration[0].tree
         plan = FaultPlan((Fault("stall", request="r", duration=5),))
-        fault = plan.blocking_fault(transition, before, now=0)
+        fault = plan.blocking_fault(transition, now=0)
         assert fault is not None and fault.kind == "stall"
         other = FaultPlan((Fault("stall", request="nope", duration=5),))
-        assert other.blocking_fault(transition, before, now=0) is None
+        assert other.blocking_fault(transition, now=0) is None
 
     def test_drop_blocks_matching_synch_only(self):
         simulator = make_simulator()
         simulator.fire_matching(lambda t: t.rule == "open")
         transition = simulator.available()[0]  # synch on "a"
-        before = simulator.configuration[0].tree
         plan = FaultPlan((Fault("drop", location="srv", channel="a",
                                 duration=4),))
-        assert plan.blocking_fault(transition, before, now=0) is not None
+        assert plan.blocking_fault(transition, now=0) is not None
         other = FaultPlan((Fault("drop", location="srv", channel="b",
                                  duration=4),))
-        assert other.blocking_fault(transition, before, now=0) is None
+        assert other.blocking_fault(transition, now=0) is None
 
     def test_crashed_locations(self):
         plan = FaultPlan((Fault("crash", location="a", at_step=4),
