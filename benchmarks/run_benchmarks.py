@@ -67,14 +67,13 @@ for entry in (str(_ROOT), str(_ROOT / "src"), str(_HERE)):
 from repro.analysis.planner import find_valid_plans  # noqa: E402
 from repro.contracts.contract import (Contract,  # noqa: E402
                                       clear_contract_caches)
-from repro.core import compliance  # noqa: E402
 from repro.core.actions import Event, FrameClose, FrameOpen  # noqa: E402
 from repro.core.compliance import check_compliance  # noqa: E402
 from repro.core.validity import (History, ValidityMonitor,  # noqa: E402
                                  is_valid)
 from repro.network.monitor import ReferenceMonitor  # noqa: E402
 from repro.observability import (metrics_snapshot,  # noqa: E402
-                                 reset_cache_stats, telemetry_session)
+                                 telemetry_session)
 from repro.policies.library import at_most  # noqa: E402
 
 from tests.oracles import planner as unmemoised  # noqa: E402
@@ -85,8 +84,6 @@ from workloads import (almost_compliant_server, chain_client,  # noqa: E402
 def _clear_caches() -> None:
     """Reset every shared cache so timed runs start cold and comparable."""
     clear_contract_caches()
-    compliance._cached_contract.cache_clear()
-    reset_cache_stats()
 
 
 def _instrumented(fn) -> dict:

@@ -5,8 +5,8 @@ for service discovery; this bench measures the exact meet-state
 decider (:func:`repro.canon.preorder.subcontract_preorder`) against its
 quantified definition, and the discovery sweep over a repository.  The
 decider memoises its verdicts and quotients, so every timed round
-starts from empty canon caches (``clear_canon_caches``); the projection
-and LTS caches stay warm.
+starts from empty canon memo tables (``clear_contract_caches`` naming
+the three); the projection, LTS and compiled-table caches stay warm.
 
 Expected shape: the direct check is polynomial in the contract state
 spaces; deciding the same relation by quantifying over all 127 depth-2
@@ -16,7 +16,8 @@ universe; discovery scales linearly in repository size.
 
 import random
 
-from repro.canon import clear_canon_caches, subcontract_preorder
+from repro.canon import subcontract_preorder
+from repro.contracts.contract import clear_contract_caches
 from repro.core.compliance import compliant
 from repro.core.syntax import EPSILON, external, internal
 from repro.network.repository import Repository
@@ -48,9 +49,16 @@ def subcontract(smaller, larger) -> bool:
     return subcontract_preorder(smaller, larger).holds
 
 
+CANON_TABLES = ("canon.quotient", "canon.fingerprint", "canon.preorder")
+
+
+def clear_canon_tables():
+    clear_contract_caches(*CANON_TABLES)
+
+
 def cold(benchmark, run):
     """Time *run* with the canon memos emptied before every round."""
-    return benchmark.pedantic(run, setup=clear_canon_caches, rounds=50)
+    return benchmark.pedantic(run, setup=clear_canon_tables, rounds=50)
 
 
 def test_e3_direct_refinement_check(benchmark):

@@ -108,13 +108,15 @@ def observed_concurrent_demand(configuration: Configuration, plans,
     best = 0
     seen = {configuration}
     frontier = deque([configuration])
+    memos: dict = {}  # one sub-tree move memo per plan, for the whole walk
     while frontier:
         current = frontier.popleft()
         demand = sum(_open_sessions_at(component.tree, location)
                      for component in current.components)
         best = max(best, demand)
         for transition in network_transitions(current, plans, repository,
-                                              enforce_validity=False):
+                                              enforce_validity=False,
+                                              memos=memos):
             if transition.successor not in seen:
                 if len(seen) >= max_configurations:
                     return best

@@ -25,15 +25,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
-from time import perf_counter
 from typing import Iterator
 
 from repro.observability import runtime as _telemetry
-from repro.observability.cache_stats import adapter, track_cache
+from repro.observability.cache_stats import memo_table
 
-from repro.contracts.contract import (register_cache_clearer,
-                                      register_cache_stat_names)
 from repro.core.compliance import ComplianceResult, check_compliance
 from repro.core.errors import PlanError
 from repro.core.plans import Plan
@@ -76,13 +72,9 @@ class ComplianceCache:
             if tel is not None:
                 tel.metrics.counter("planner.memo", outcome="hit").inc()
             return cached
-        if tel is None:
-            result = check_compliance(body, service)
-        else:
+        if tel is not None:
             tel.metrics.counter("planner.memo", outcome="miss").inc()
-            with tel.metrics.histogram(
-                    "planner.binding_check_seconds").time():
-                result = check_compliance(body, service)
+        result = check_compliance(body, service)
         self._table[key] = result
         self.misses += 1
         return result
@@ -210,17 +202,13 @@ def plan_security(client: HistoryExpression, plan: Plan,
     return _plan_security(client, location, plan, bound)
 
 
-@lru_cache(maxsize=PLAN_SECURITY_CACHE_SIZE)
+@memo_table("analysis.plan_security", PLAN_SECURITY_CACHE_SIZE)
 def _plan_security(client: HistoryExpression, location: str, plan: Plan,
                    bound: tuple) -> SecurityReport:
     services = Repository({target: service for target, service in bound
                            if service is not None}, validate=False)
     return check_security(assemble(client, plan, services, location))
 
-
-track_cache("analysis.plan_security", _plan_security)
-register_cache_clearer(adapter("analysis.plan_security").clear)
-register_cache_stat_names("analysis.plan_security")
 
 
 def analyze_plan(client: HistoryExpression, plan: Plan,
@@ -354,16 +342,8 @@ def find_valid_plans(client: HistoryExpression, repository: Repository,
                 # reuse the verdict without re-walking the plan.
                 return PlanAnalysis(plan, (known,),
                                     SecurityReport.skipped_report())
-        tel = _telemetry.active()
-        if tel is None:
-            analysis = analyze_plan(client, plan, repository, location,
-                                    cache=cache, prune=True)
-        else:
-            start = perf_counter()
-            analysis = analyze_plan(client, plan, repository, location,
-                                    cache=cache, prune=True)
-            tel.metrics.histogram("planner.analyze_seconds").observe(
-                perf_counter() - start)
+        analysis = analyze_plan(client, plan, repository, location,
+                                cache=cache, prune=True)
         for check in analysis.compliance:
             if not check.compliant and check.request in one_body:
                 bad_bindings[(check.request, check.location)] = check

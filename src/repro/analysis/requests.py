@@ -13,12 +13,9 @@ a plan selects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from repro.contracts.contract import (register_cache_clearer,
-                                      register_cache_stat_names)
 from repro.core.syntax import HistoryExpression, Request, requests_of
-from repro.observability.cache_stats import adapter, track_cache
+from repro.observability.cache_stats import memo_table
 
 
 @dataclass(frozen=True)
@@ -59,7 +56,7 @@ class RequestTree:
         return len(self.all_requests())
 
 
-@lru_cache(maxsize=4096)
+@memo_table("analysis.extract_requests", 4096)
 def extract_requests(term: HistoryExpression) -> tuple[RequestInfo, ...]:
     """All requests of *term* (nested included), in pre-order.
 
@@ -68,10 +65,6 @@ def extract_requests(term: HistoryExpression) -> tuple[RequestInfo, ...]:
     """
     return tuple(RequestInfo.of(node) for node in requests_of(term))
 
-
-track_cache("analysis.extract_requests", extract_requests)
-register_cache_clearer(adapter("analysis.extract_requests").clear)
-register_cache_stat_names("analysis.extract_requests")
 
 
 def request_tree(term: HistoryExpression) -> RequestTree:

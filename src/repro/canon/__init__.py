@@ -11,59 +11,26 @@ Three passes, each memoised per projected term:
   preorder ``H1 ≼ H2`` with replayable counterexample witnesses
   (:mod:`repro.canon.preorder`).
 
-All three memo tables are tracked (``canon.quotient``,
-``canon.fingerprint``, ``canon.preorder``), surveyed by
-``contract_cache_stats()`` and dropped by the
-``clear_contract_caches()`` cascade — the quotient tables embed
-process-global label ids, so they must never outlive the label intern
-table they were compiled against.
+All three memo tables (``canon.quotient``, ``canon.fingerprint``,
+``canon.preorder``) are declared ``cleared_with`` the compiled-table
+memo: the quotient tables embed process-global label ids, so they must
+never outlive the label intern table they were compiled against, and
+clearing ``compiled.contract`` (which resets that table) clears them
+too.
 """
 
 from __future__ import annotations
 
 from repro.canon.fingerprint import (CanonicalForm, Signature, canonicalize,
                                      canonically_equal, fingerprint_of,
-                                     signature_of, _canonical)
-from repro.canon.minimize import QuotientContract, minimize, _quotient
+                                     signature_of)
+from repro.canon.minimize import QuotientContract, minimize
 from repro.canon.preorder import (PreorderResult, PreorderWitness,
-                                  preorder_equivalent, subcontract_preorder,
-                                  _preorder)
-from repro.contracts.contract import (register_cache_clearer,
-                                      register_cache_stat_names)
-from repro.observability.cache_stats import (cache_stats, reset_cache_stats,
-                                             track_cache)
+                                  preorder_equivalent, subcontract_preorder)
 
 __all__ = [
     "CanonicalForm", "PreorderResult", "PreorderWitness",
-    "QuotientContract", "Signature", "canon_cache_stats", "canonicalize",
-    "canonically_equal", "clear_canon_caches", "fingerprint_of",
-    "minimize", "preorder_equivalent", "signature_of",
+    "QuotientContract", "Signature", "canonicalize", "canonically_equal",
+    "fingerprint_of", "minimize", "preorder_equivalent", "signature_of",
     "subcontract_preorder",
 ]
-
-track_cache("canon.quotient", _quotient)
-track_cache("canon.fingerprint", _canonical)
-track_cache("canon.preorder", _preorder)
-
-#: Cache-stats names owned by the canonicalization layer.
-_CACHE_NAMES: tuple[str, ...] = ("canon.quotient", "canon.fingerprint",
-                                 "canon.preorder")
-
-
-def canon_cache_stats() -> dict[str, dict[str, int]]:
-    """Hits/misses/size of every canonicalization memo table."""
-    return cache_stats(*_CACHE_NAMES)
-
-
-def clear_canon_caches() -> None:
-    """Drop the quotient, canonical-form and preorder memos and
-    rebaseline their stats adapters (runs inside the
-    ``clear_contract_caches`` cascade)."""
-    _quotient.cache_clear()
-    _canonical.cache_clear()
-    _preorder.cache_clear()
-    reset_cache_stats(*_CACHE_NAMES)
-
-
-register_cache_clearer(clear_canon_caches)
-register_cache_stat_names(*_CACHE_NAMES)

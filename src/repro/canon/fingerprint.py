@@ -27,16 +27,14 @@ keys: the Definition-5 stuck check at the *initial* product pair reads
 exactly the fields a signature records, so one mask test per bucket
 soundly prunes every member at once.
 
-The canonical-form memo is tracked as ``canon.fingerprint`` and cleared
-through the ``clear_contract_caches`` cascade.
+The canonical-form memo is the ``canon.fingerprint`` table, cleared with
+the compiled-table memo.
 """
 
 from __future__ import annotations
 
 import hashlib
-import time
 from dataclasses import dataclass
-from functools import lru_cache
 
 from repro.canon.minimize import QuotientContract, minimize
 from repro.compiled.tables import LABELS
@@ -44,6 +42,7 @@ from repro.contracts.contract import Contract
 from repro.core.actions import is_output
 from repro.core.syntax import HistoryExpression
 from repro.observability import runtime as _telemetry
+from repro.observability.cache_stats import memo_table
 
 #: Entries kept in the canonical-form memo.
 CANONICAL_CACHE_SIZE = 1024
@@ -133,17 +132,15 @@ def canonically_equal(a: Contract | HistoryExpression,
     return canonicalize(a).key == canonicalize(b).key
 
 
-@lru_cache(maxsize=CANONICAL_CACHE_SIZE)
+@memo_table("canon.fingerprint", CANONICAL_CACHE_SIZE,
+            cleared_with=("compiled.contract",))
 def _canonical(term: HistoryExpression) -> CanonicalForm:
     tel = _telemetry.active()
     if tel is None:
         return _canonical_of(_quotient_for(term))
     with tel.tracer.span("canon.fingerprint") as span:
-        started = time.perf_counter()
         form = _canonical_of(_quotient_for(term))
         tel.metrics.counter("canon.fingerprints").inc()
-        tel.metrics.histogram("canon.fingerprint.seconds").observe(
-            time.perf_counter() - started)
         span.set(blocks=form.n_blocks)
         tel.emit("canon.fingerprint", blocks=form.n_blocks,
                  fingerprint=form.fingerprint[:16])

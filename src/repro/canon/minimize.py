@@ -25,21 +25,20 @@ contains source state 0 (the initial state) and the representative of a
 block is its lowest-numbered member — deterministic for a fixed term,
 whatever the interning history.
 
-The quotient memo is tracked as ``canon.quotient`` and cleared through
-the ``clear_contract_caches`` cascade (the tables embed process-global
-label ids, so they must never outlive the label intern table).
+The quotient memo is the ``canon.quotient`` table, cleared with the
+compiled-table memo (the tables embed process-global label ids, so they
+must never outlive the label intern table).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from repro.compiled.tables import CompiledContract, _compile
 from repro.contracts.contract import Contract
 from repro.core.syntax import HistoryExpression
 from repro.observability import runtime as _telemetry
+from repro.observability.cache_stats import memo_table
 
 #: Entries kept in the quotient memo (same trade-off as the compiled
 #: table memo it derives from).
@@ -90,21 +89,19 @@ def minimize(contract: Contract | HistoryExpression) -> QuotientContract:
     return _quotient(term)
 
 
-@lru_cache(maxsize=QUOTIENT_CACHE_SIZE)
+@memo_table("canon.quotient", QUOTIENT_CACHE_SIZE,
+            cleared_with=("compiled.contract",))
 def _quotient(term: HistoryExpression) -> QuotientContract:
     tel = _telemetry.active()
     if tel is None:
         return _build_quotient(_compile(term))
     with tel.tracer.span("canon.minimize") as span:
-        started = time.perf_counter()
         compiled = _compile(term)
         quotient = _build_quotient(compiled)
         metrics = tel.metrics
         metrics.counter("canon.minimizations").inc()
         metrics.counter("canon.states_in").inc(len(compiled))
         metrics.counter("canon.blocks_out").inc(len(quotient))
-        metrics.histogram("canon.minimize.seconds").observe(
-            time.perf_counter() - started)
         span.set(states=len(compiled), blocks=len(quotient))
         tel.emit("canon.minimized", states=len(compiled),
                  blocks=len(quotient), minimal=quotient.is_minimal)

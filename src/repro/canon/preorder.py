@@ -45,16 +45,14 @@ with ``H1`` and reaches a Definition-5 stuck pair with ``H2`` —
 :meth:`PreorderWitness.replays` re-checks both facts with
 :func:`~repro.core.compliance.check_compliance`.
 
-The decision memo is tracked as ``canon.preorder`` and cleared through
-the ``clear_contract_caches`` cascade.
+The decision memo is the ``canon.preorder`` table, cleared with the
+compiled-table memo.
 """
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 
 from repro.canon.minimize import QuotientContract, minimize
 from repro.compiled.tables import LABELS
@@ -63,6 +61,7 @@ from repro.core.actions import Label, Receive, Send
 from repro.core.errors import StateSpaceLimitError
 from repro.core.syntax import (EPSILON, HistoryExpression, external, send)
 from repro.observability import runtime as _telemetry
+from repro.observability.cache_stats import memo_table
 
 #: Entries kept in the preorder memo.
 PREORDER_CACHE_SIZE = 4096
@@ -141,20 +140,18 @@ def preorder_equivalent(a: Contract | HistoryExpression,
         subcontract_preorder(b, a).holds
 
 
-@lru_cache(maxsize=PREORDER_CACHE_SIZE)
+@memo_table("canon.preorder", PREORDER_CACHE_SIZE,
+            cleared_with=("compiled.contract",))
 def _preorder(t1: HistoryExpression, t2: HistoryExpression
               ) -> PreorderResult:
     tel = _telemetry.active()
     if tel is None:
         return _decide(minimize(t1), minimize(t2))
     with tel.tracer.span("canon.preorder") as span:
-        started = time.perf_counter()
         result = _decide(minimize(t1), minimize(t2))
         tel.metrics.counter(
             "canon.preorder.checks",
             verdict="holds" if result.holds else "refused").inc()
-        tel.metrics.histogram("canon.preorder.seconds").observe(
-            time.perf_counter() - started)
         span.set(holds=result.holds, pairs=result.pairs)
         tel.emit("canon.preorder", holds=result.holds, pairs=result.pairs)
     return result

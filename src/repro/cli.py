@@ -34,8 +34,9 @@ Commands::
     repro trace NETWORK.toml [--out F]    # verify + simulate, emit spans
 
 ``repro --stats <command> …`` enables telemetry for the run and prints
-the metrics table (counters, timers, cache hit rates) afterwards; the
-``REPRO_TELEMETRY`` environment variable does the same for every run.
+the metrics table (counters, span timings, memo-table hit rates)
+afterwards; the ``REPRO_TELEMETRY`` environment variable enables
+telemetry for every run.
 
 Exit status (uniform across commands):
 
@@ -57,6 +58,7 @@ from pathlib import Path
 from repro.core.compliance import check_compliance
 from repro.core.errors import ParseError, ReproError
 from repro.observability import runtime as _telemetry
+from repro.observability.cache_stats import cache_stats
 from repro.core.syntax import HistoryExpression
 from repro.core.wellformed import check_well_formed
 from repro.analysis.requests import extract_requests
@@ -592,7 +594,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             print(f"wrote {len(tel.tracer)} span(s) to {args.out}")
         print(tel.tracer.render_tree())
         print()
-        print(tel.metrics.render_table())
+        print(tel.metrics.render_table(tel.tracer.timings()))
     return 0
 
 
@@ -851,9 +853,8 @@ def main(argv: list[str] | None = None) -> int:
                 status = args.func(args)
                 print()
                 print("-- metrics --")
-                print(tel.metrics.render_table())
-                caches = _telemetry.metrics_snapshot()["caches"]
-                for name, stats in sorted(caches.items()):
+                print(tel.metrics.render_table(tel.tracer.timings()))
+                for name, stats in sorted(cache_stats().items()):
                     print(f"cache {name}: {stats['hits']} hit(s), "
                           f"{stats['misses']} miss(es), "
                           f"{stats['currsize']} entries")

@@ -22,18 +22,17 @@ quotients).  :func:`compiled_search` visits states in exactly the order
 explored-state counts and witnesses are identical — the differential
 property suite asserts it.
 
-Compilation results are memoised per (projected) term and wired into the
-``clear_contract_caches`` cascade; telemetry records ``compile.*``
-counters (states/labels interned, table bytes, compile seconds) through
-the observability layer.
+Compilation results are memoised per (projected) term in the
+``compiled.contract`` memo table, which ``clear_contract_caches`` drops
+together with the label intern table; telemetry records ``compile.*``
+counters (states/labels interned, table bytes) through the
+observability layer.
 """
 
 from __future__ import annotations
 
 from repro.compiled.intern import Bitset, Interner
-from repro.compiled.tables import (CompiledContract, compile_contract,
-                                   compiled_cache_stats,
-                                   clear_compiled_caches)
+from repro.compiled.tables import CompiledContract, compile_contract
 from repro.compiled.search import CompiledSearch, compiled_search
 
 __all__ = [
@@ -41,8 +40,6 @@ __all__ = [
     "CompiledContract",
     "CompiledSearch",
     "Interner",
-    "clear_compiled_caches",
     "compile_contract",
-    "compiled_cache_stats",
     "compiled_search",
 ]

@@ -24,26 +24,23 @@ enumerates them — ``labels_from``/``successors`` order, which is the
 LTS's move order — so the compiled BFS discovers states in the same
 order and reconstructs identical witnesses.
 
-Everything is memoised per term and registered with the
-``clear_contract_caches`` cascade; compilation emits ``compile.*``
-telemetry (states/labels interned, table bytes, compile seconds).
+Everything is memoised per term in the ``compiled.contract`` memo
+table, whose clear also resets :data:`LABELS`; compilation emits
+``compile.*`` telemetry (states/labels interned, table bytes) inside a
+``compile.contract`` span.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from functools import lru_cache
 
 from repro.compiled.intern import Interner
 from repro.core.actions import Receive, Send, is_input, is_output
 from repro.core.semantics import is_terminated
 from repro.core.syntax import HistoryExpression
-from repro.contracts.contract import (Contract, register_cache_clearer,
-                                      register_cache_stat_names)
+from repro.contracts.contract import Contract
 from repro.observability import runtime as _telemetry
-from repro.observability.cache_stats import (cache_stats, reset_cache_stats,
-                                             track_cache)
+from repro.observability.cache_stats import memo_table
 
 #: Entries kept in the compiled-table memo (same trade-off as the
 #: contract/LTS caches it sits beside).
@@ -101,8 +98,9 @@ class LabelTable:
         self.__init__()
 
 
-#: The process-wide label/channel intern table.  Cleared together with
-#: the compiled-contract memo (the cached tables reference its ids).
+#: The process-wide label/channel intern table.  Cleared with the
+#: compiled-contract memo (the cached tables reference its ids), and with
+#: it every memo table declared ``cleared_with`` that memo.
 LABELS = LabelTable()
 
 
@@ -153,21 +151,20 @@ def compile_contract(contract: Contract | HistoryExpression
     """The memoised compiled tables of *contract* (terms accepted too).
 
     Telemetry (when active) records per actual compilation — memo hits
-    are free — the states and labels interned, the flat-table bytes and
-    the compile wall time under ``compile.*``.
+    are free — the states and labels interned and the flat-table bytes
+    under ``compile.*``, in a ``compile.contract`` span.
     """
     term = contract.term if isinstance(contract, Contract) else \
         Contract(contract).term
     return _compile(term)
 
 
-@lru_cache(maxsize=COMPILED_CACHE_SIZE)
+@memo_table("compiled.contract", COMPILED_CACHE_SIZE, on_clear=LABELS.clear)
 def _compile(term: HistoryExpression) -> CompiledContract:
     tel = _telemetry.active()
     if tel is None:
         return _compile_tables(term)
     with tel.tracer.span("compile.contract") as span:
-        started = time.perf_counter()
         labels_before = len(LABELS.labels)
         compiled = _compile_tables(term)
         new_labels = len(LABELS.labels) - labels_before
@@ -177,8 +174,6 @@ def _compile(term: HistoryExpression) -> CompiledContract:
         metrics.counter("compile.states_interned").inc(len(compiled))
         metrics.counter("compile.labels_interned").inc(new_labels)
         metrics.counter("compile.table_bytes").inc(table_bytes)
-        metrics.histogram("compile.seconds").observe(
-            time.perf_counter() - started)
         span.set(states=len(compiled), table_bytes=table_bytes)
         tel.emit("compile.contract", states=len(compiled),
                  labels=new_labels, table_bytes=table_bytes)
@@ -234,17 +229,6 @@ def _compile_tables(term: HistoryExpression) -> CompiledContract:
         terminated=tuple(terminated))
 
 
-track_cache("compiled.contract", _compile)
-
-#: Cache-stats names owned by the compiled layer.
-_CACHE_NAMES = ("compiled.contract",)
-
-
-def compiled_cache_stats() -> dict[str, dict[str, int]]:
-    """Hits/misses/size of every compiled-core memo table."""
-    return cache_stats(*_CACHE_NAMES)
-
-
 def label_table_stats() -> dict[str, int]:
     """Size of the process-wide label intern table plus the number of
     currently memoised compiled contracts (what the CLI prints under
@@ -252,15 +236,3 @@ def label_table_stats() -> dict[str, int]:
     return {"labels": len(LABELS.labels),
             "channels": len(LABELS.channels),
             "compiled_contracts": _compile.cache_info().currsize}
-
-
-def clear_compiled_caches() -> None:
-    """Drop the compiled tables *and* the label intern table (the tables
-    store its ids), rebaselining the stats adapters."""
-    _compile.cache_clear()
-    LABELS.clear()
-    reset_cache_stats(*_CACHE_NAMES)
-
-
-register_cache_clearer(clear_compiled_caches)
-register_cache_stat_names(*_CACHE_NAMES)

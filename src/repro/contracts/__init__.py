@@ -8,13 +8,12 @@ contract wrapper (:mod:`repro.contracts.contract`) and the product
 automaton of Definition 5 (:mod:`repro.contracts.product`).
 """
 
-from repro.contracts.contract import (Contract, clear_contract_caches,
-                                      contract_cache_stats)
+from repro.contracts.contract import Contract, clear_contract_caches
 from repro.contracts.lts import LTS, build_lts
 from repro.contracts.product import (ProductAutomaton, ProductSearch,
                                      build_product, search_product)
 
-__all__ = ["Contract", "clear_contract_caches", "contract_cache_stats",
+__all__ = ["Contract", "clear_contract_caches",
            "LTS", "build_lts",
            "ProductAutomaton", "ProductSearch", "build_product",
            "search_product"]

@@ -177,8 +177,6 @@ def search_product(client: Contract, server: Contract,
         # BFS returns the moment it finds one).
         metrics.counter("compliance.enqueued_states").inc(
             result.explored if result.empty else result.explored - 1)
-        if depth is not None:
-            metrics.histogram("compliance.early_exit_depth").observe(depth)
         tel.emit("search.product", empty=result.empty,
                  explored=result.explored)
         return result

@@ -41,16 +41,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 
 from repro.core.actions import co, is_input, is_output
 from repro.core.ready_sets import unmatched_pairs
 from repro.core.syntax import HistoryExpression
-from repro.contracts.contract import (Contract, register_cache_clearer,
-                                      register_cache_stat_names)
+from repro.contracts.contract import Contract
 from repro.contracts.product import PairState, search_product
 from repro.observability import runtime as _telemetry
-from repro.observability.cache_stats import adapter, track_cache
+from repro.observability.cache_stats import memo_table
 
 
 @dataclass(frozen=True)
@@ -157,14 +155,9 @@ def _ready_set_condition(h1: HistoryExpression,
     return not unmatched_pairs(h1, h2)
 
 
-@lru_cache(maxsize=4096)
+@memo_table("compliance.contract_intern", 4096)
 def _cached_contract(term: HistoryExpression) -> Contract:
     return Contract(term)
-
-
-track_cache("compliance.contract_intern", _cached_contract)
-register_cache_clearer(adapter("compliance.contract_intern").clear)
-register_cache_stat_names("compliance.contract_intern")
 
 
 def _as_contract(value: HistoryExpression | Contract) -> Contract:

@@ -50,10 +50,8 @@ On the command line the relation is ``repro compliance --reversible``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from repro.contracts.contract import (Contract, register_cache_clearer,
-                                      register_cache_stat_names)
+from repro.contracts.contract import Contract
 from repro.contracts.lts import DEFAULT_STATE_LIMIT, LTS
 from repro.contracts.product import PairState
 from repro.core.actions import co, is_input, is_output
@@ -61,8 +59,7 @@ from repro.core.errors import StateSpaceLimitError
 from repro.core.semantics import is_terminated
 from repro.core.syntax import HistoryExpression
 from repro.observability import runtime as _telemetry
-from repro.observability.cache_stats import (cache_stats, reset_cache_stats,
-                                             track_cache)
+from repro.observability.cache_stats import memo_table
 
 #: Entries kept in the decider memos (same trade-off as the contract
 #: caches they sit beside).
@@ -218,7 +215,7 @@ def _project(value: HistoryExpression | Contract) -> HistoryExpression:
     return Contract(value).term
 
 
-@lru_cache(maxsize=REVERSIBLE_CACHE_SIZE)
+@memo_table("reversible.decide", REVERSIBLE_CACHE_SIZE)
 def _decide(client_term: HistoryExpression, server_term: HistoryExpression,
             max_states: int) -> ReversibleResult:
     client_c = Contract(client_term, already_projected=True)
@@ -316,22 +313,3 @@ def _demonic_play(initial: PairState, doomed: dict[PairState, int],
         current = next(iter(strategy[current].values()))
         play.append(current)
     return tuple(play)
-
-
-track_cache("reversible.decide", _decide)
-
-_CACHE_NAMES = ["reversible.decide"]
-
-
-def reversible_cache_stats() -> dict[str, dict[str, int]]:
-    """Hits/misses/size of the reversible decider memo."""
-    return cache_stats(*_CACHE_NAMES)
-
-
-def clear_reversible_caches() -> None:
-    _decide.cache_clear()
-    reset_cache_stats(*_CACHE_NAMES)
-
-
-register_cache_clearer(clear_reversible_caches)
-register_cache_stat_names(*_CACHE_NAMES)

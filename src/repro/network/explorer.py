@@ -94,6 +94,10 @@ def explore(configuration: Configuration, plans: PlanVector | Plan,
     result = ExplorationResult()
     seen: set[Configuration] = {configuration}
     frontier: deque[Configuration] = deque([configuration])
+    # One sub-tree move memo per plan for the whole exploration: its
+    # repository and commit mode are fixed, and sibling configurations
+    # share all but one root path.
+    memos: dict[Plan, dict] = {}
 
     while frontier:
         current = frontier.popleft()
@@ -101,14 +105,16 @@ def explore(configuration: Configuration, plans: PlanVector | Plan,
 
         moves = list(network_transitions(current, plans, repository,
                                          enforce_validity=False,
-                                         commit_outputs=commit_outputs))
+                                         commit_outputs=commit_outputs,
+                                         memos=memos))
 
         # Stuckness per component (not per configuration: one component
         # finishing does not excuse another being blocked).
         for index, component in enumerate(current.components):
             plan = plans if isinstance(plans, Plan) else plans[index]
             verdict = classify_stuckness(component, plan, repository,
-                                         commit_outputs=commit_outputs)
+                                         commit_outputs=commit_outputs,
+                                         memo=memos.setdefault(plan, {}))
             if verdict in ("security", "communication"):
                 result.stuck.append((current, index, verdict))
                 if stop_at_first_flaw:

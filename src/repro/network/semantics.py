@@ -284,11 +284,13 @@ def _fireable(component: Component, plan: Plan, repository: Repository,
 def component_moves(component: Component, plan: Plan,
                     repository: Repository,
                     enforce_validity: bool = True,
-                    commit_outputs: bool = False) -> Iterator[TreeMove]:
+                    commit_outputs: bool = False,
+                    memo: dict | None = None) -> Iterator[TreeMove]:
     """The fireable moves of one component (offers pruned, validity filter
-    optionally applied — the paper's angelic semantics)."""
+    optionally applied — the paper's angelic semantics); *memo* is the
+    plan's sub-tree move memo, as for :func:`tree_moves`."""
     for move, _monitor in _fireable(component, plan, repository,
-                                    enforce_validity, commit_outputs, None):
+                                    enforce_validity, commit_outputs, memo):
         yield move
 
 
@@ -357,23 +359,28 @@ def stuck_components(configuration: Configuration, plans,
 
 def classify_stuckness(component: Component, plan: Plan,
                        repository: Repository,
-                       commit_outputs: bool = False) -> str:
+                       commit_outputs: bool = False,
+                       memo: dict | None = None) -> str:
     """Why is *component* stuck?
 
     Returns ``"terminated"`` when it in fact finished; ``"security"``
     when dropping the validity filter would unblock it (all its enabled
     moves violate active policies — the monitor aborts it); otherwise
     ``"communication"`` (a missing co-action or an unbound request — the
-    participants are not compliant / the plan is incomplete).
+    participants are not compliant / the plan is incomplete).  *memo* is
+    the plan's sub-tree move memo, as for :func:`tree_moves`; both
+    passes read it.
     """
     if component.is_terminated():
         return "terminated"
+    if memo is None:
+        memo = {}
     for _ in component_moves(component, plan, repository,
                              enforce_validity=True,
-                             commit_outputs=commit_outputs):
+                             commit_outputs=commit_outputs, memo=memo):
         return "not-stuck"
     for _ in component_moves(component, plan, repository,
                              enforce_validity=False,
-                             commit_outputs=commit_outputs):
+                             commit_outputs=commit_outputs, memo=memo):
         return "security"
     return "communication"

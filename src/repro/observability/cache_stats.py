@@ -1,92 +1,100 @@
-"""Adapters exposing ``functools.lru_cache`` statistics to telemetry.
+"""The memo-table registry: every ``lru_cache`` of the pipeline.
 
-The contract/LTS/request layers memoise through module-level
-``lru_cache``s; those already count hits and misses internally
-(``cache_info()``), but the counters are cumulative for the process
-lifetime.  A :class:`CacheStatsAdapter` wraps one cached function and
-adds a *baseline*, so :func:`cache_stats` reports counts **since the
-last reset** — which is what a benchmark run or a CLI invocation wants
-to see — while never touching the hot path (the adapter only reads
-``cache_info()`` when asked).
+A memo table is declared with :func:`memo_table`, which applies
+``functools.lru_cache`` and registers the table by name at its
+definition site.  That registration is the only way a table enters
+:func:`clear_contract_caches` (the cold reset) and :func:`cache_stats`,
+so no table can be left warm by a reset or missing from the statistics;
+``tests/observability/test_cache_stats.py`` fails on any ``lru_cache``
+in ``src/`` outside this module.
 
-Caches self-register at definition site via :func:`track_cache`;
-``repro.contracts.clear_contract_caches()`` clears its caches *and*
-rebaselines their adapters, so tests can assert clean-slate counts.
+The statistics are the tables' own ``cache_info()`` counts, read only
+when asked (never on the hot path).  Clearing a table zeroes them, so
+they count from the last clear.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from functools import lru_cache
+from typing import Callable, NamedTuple
 
-_ADAPTERS: dict[str, "CacheStatsAdapter"] = {}
-
-
-class CacheStatsAdapter:
-    """Delta-view over one ``lru_cache``-decorated function."""
-
-    __slots__ = ("name", "_fn", "_base_hits", "_base_misses")
-
-    def __init__(self, name: str, fn: Callable) -> None:
-        self.name = name
-        self._fn = fn
-        self._base_hits = 0
-        self._base_misses = 0
-
-    def stats(self) -> dict[str, int]:
-        """Hits/misses since the last :meth:`reset`, plus live size."""
-        info = self._fn.cache_info()
-        return {"hits": info.hits - self._base_hits,
-                "misses": info.misses - self._base_misses,
-                "currsize": info.currsize,
-                "maxsize": info.maxsize}
-
-    def reset(self) -> None:
-        """Rebaseline: subsequent :meth:`stats` start from zero.
-
-        Call *after* ``cache_clear()`` as well — clearing zeroes the
-        underlying ``cache_info`` counters, so stale baselines would
-        otherwise go negative.
-        """
-        info = self._fn.cache_info()
-        self._base_hits = info.hits
-        self._base_misses = info.misses
-
-    def clear(self) -> None:
-        """Drop the cache contents and rebaseline in one step."""
-        self._fn.cache_clear()
-        self._base_hits = 0
-        self._base_misses = 0
+from repro.observability import runtime as _telemetry
 
 
-def track_cache(name: str, fn: Callable) -> Callable:
-    """Register *fn* (an ``lru_cache`` wrapper) under *name*; returns
-    *fn* so call sites can wrap a definition in place.  Re-registering a
-    name replaces the adapter (module reloads)."""
-    _ADAPTERS[name] = CacheStatsAdapter(name, fn)
-    return fn
+class _Table(NamedTuple):
+    """One declared memo table (see :func:`memo_table`)."""
+
+    fn: Callable
+    on_clear: Callable[[], None] | None
+    cleared_with: tuple[str, ...]
 
 
-def adapter(name: str) -> CacheStatsAdapter:
-    """The adapter registered under *name* (KeyError if absent)."""
-    return _ADAPTERS[name]
+#: Every declared memo table by name, in declaration order.
+_TABLES: dict[str, _Table] = {}
+
+
+def memo_table(name: str, maxsize: int | None, *,
+               on_clear: Callable[[], None] | None = None,
+               cleared_with: tuple[str, ...] = ()) -> Callable:
+    """Decorator: ``functools.lru_cache(maxsize)``, registered as *name*.
+
+    Returns the ``lru_cache`` function itself, so ``cache_info`` and
+    ``cache_clear`` stay where callers expect them.  *on_clear* runs
+    after every clear of the table (the compiled-table memo resets the
+    label intern table its entries index).  A table whose entries embed
+    another table's data names that table in *cleared_with*, and is then
+    cleared whenever it is, whichever names a caller asked for; such a
+    table is declared after the tables it names, as the imports that
+    give it their data ensure.  Re-declaring a name replaces the entry
+    (module reloads).
+    """
+    def register(fn: Callable) -> Callable:
+        table = lru_cache(maxsize=maxsize)(fn)
+        _TABLES[name] = _Table(table, on_clear, cleared_with)
+        return table
+    return register
+
+
+def clear_contract_caches(*names: str) -> None:
+    """Drop the named memo tables (every declared one by default), which
+    also zeroes their hit/miss counts.
+
+    Every table declared ``cleared_with`` a cleared table is cleared
+    too: clearing ``compiled.contract`` resets the label intern table,
+    and the ``canon.*`` tables, whose entries hold its label ids, go
+    with it.  An unknown name is a :class:`KeyError`.  The flight
+    recorder notes the flush as a ``cache.cleared`` event and then
+    rebaselines its per-kind counters, so event counts — like cache
+    hit/miss counts — read relative to the last flush.
+    """
+    selected = set(names) if names else set(_TABLES)
+    unknown = selected - set(_TABLES)
+    if unknown:
+        raise KeyError(f"no memo table named {sorted(unknown)}")
+    cleared = 0
+    for name, table in _TABLES.items():
+        if name in selected or selected.intersection(table.cleared_with):
+            selected.add(name)
+            table.fn.cache_clear()
+            if table.on_clear is not None:
+                table.on_clear()
+            cleared += 1
+    tel = _telemetry.active()
+    if tel is not None:
+        tel.emit("cache.cleared", caches=cleared)
+        tel.events.rebaseline()
 
 
 def cache_stats(*names: str) -> dict[str, dict[str, int]]:
-    """Statistics for the named caches (all tracked caches by default)."""
-    selected = names if names else tuple(_ADAPTERS)
-    return {name: _ADAPTERS[name].stats() for name in selected
-            if name in _ADAPTERS}
-
-
-def reset_cache_stats(*names: str) -> None:
-    """Rebaseline the named adapters (all of them by default)."""
-    selected = names if names else tuple(_ADAPTERS)
+    """Hits, misses, size and bound of the named tables since their last
+    clear (every declared table by default; names not declared are
+    skipped)."""
+    selected = names if names else tuple(_TABLES)
+    stats: dict[str, dict[str, int]] = {}
     for name in selected:
-        found = _ADAPTERS.get(name)
-        if found is not None:
-            found.reset()
-
-
-def tracked_caches() -> tuple[str, ...]:
-    """The names of every registered cache, sorted."""
-    return tuple(sorted(_ADAPTERS))
+        if name in _TABLES:
+            info = _TABLES[name].fn.cache_info()
+            stats[name] = {"hits": info.hits, "misses": info.misses,
+                           "currsize": info.currsize,
+                           "maxsize": info.maxsize}
+    return stats

@@ -1,6 +1,6 @@
 """The flight recorder: a bounded, deterministic structured event log.
 
-Where :mod:`repro.observability.metrics` answers *how much* and
+Where :mod:`repro.observability.metrics` answers *how many* and
 :mod:`repro.observability.tracing` answers *how long*, the flight
 recorder answers *what happened, in what order, and because of what*.
 Every instrumented layer appends :class:`Event` records — fault
@@ -11,8 +11,8 @@ verdicts — each carrying three correlation fields:
     The logical work unit the event belongs to (a chaos trial, a verify
     pass), set by the enclosing :meth:`EventLog.session` context.
 ``span``
-    The ``span_id`` of the innermost open tracing span on the emitting
-    thread, linking the event into the span tree.
+    The ``span_id`` of the innermost open nested tracing span, linking
+    the event into the span tree.
 ``cause``
     The ``seq`` of the event that *caused* this one, forming explicit
     causal chains (fault → abort → compensate → replan → verdict) that
@@ -32,13 +32,9 @@ pipeline appends *zero* events.
 
 from __future__ import annotations
 
-import json
 from collections import Counter, deque
 from contextlib import contextmanager
 from typing import Iterator
-
-#: Schema tag stamped on every exported log.
-EVENTS_SCHEMA = "repro-events.v1"
 
 #: Default ring-buffer capacity (events, not bytes).
 DEFAULT_CAPACITY = 65536
@@ -64,23 +60,11 @@ class Event:
         self.attrs = attrs
 
     def to_record(self) -> dict:
-        """The JSON-serialisable export record of this event."""
+        """The JSON-serialisable record of this event (the report's
+        causal-chain links)."""
         return {"seq": self.seq, "kind": self.kind,
                 "session": self.session, "span": self.span,
                 "cause": self.cause, "attrs": self.attrs}
-
-    def describe(self) -> str:
-        """``#seq kind key=value ...`` — one human-readable line."""
-        extra = " ".join(f"{k}={v}"
-                         for k, v in sorted(self.attrs.items()))
-        parts = [f"#{self.seq}", self.kind]
-        if self.session is not None:
-            parts.append(f"session={self.session}")
-        if self.cause is not None:
-            parts.append(f"cause=#{self.cause}")
-        if extra:
-            parts.append(extra)
-        return " ".join(parts)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Event(#{self.seq} {self.kind!r})"
@@ -92,8 +76,8 @@ class EventLog:
     Per-kind counters are kept beside the ring buffer and survive
     eviction; :meth:`rebaseline` zeroes their *visible* value without
     touching the buffer, which is how ``clear_contract_caches()``
-    restarts counting after a cache flush (mirroring the cache-stats
-    adapters' baseline deltas).
+    restarts counting after a cache flush (as the flush zeroes the memo
+    tables' own hit/miss counts).
     """
 
     def __init__(self, maxlen: int = DEFAULT_CAPACITY) -> None:
@@ -133,22 +117,11 @@ class EventLog:
         finally:
             self._session = previous
 
-    def current_session(self) -> str | None:
-        """The enclosing :meth:`session` id, if any."""
-        return self._session
-
     # -- inspection ---------------------------------------------------------
 
     def find(self, kind: str) -> list[Event]:
         """All retained events of the given kind, in seq order."""
         return [event for event in self.events if event.kind == kind]
-
-    def get(self, seq: int) -> Event | None:
-        """The retained event with this seq, or ``None`` if evicted."""
-        for event in self.events:
-            if event.seq == seq:
-                return event
-        return None
 
     def causal_chain(self, seq: int) -> list[Event]:
         """The chain of retained events ending at ``seq``, oldest first.
@@ -194,63 +167,3 @@ class EventLog:
 
     def __iter__(self) -> Iterator[Event]:
         return iter(self.events)
-
-    # -- export -------------------------------------------------------------
-
-    def to_records(self) -> list[dict]:
-        """All retained events as export records, in seq order."""
-        return [event.to_record() for event in self.events]
-
-    def export_jsonl(self) -> str:
-        """A schema-header line followed by one JSON object per event."""
-        header = json.dumps({"schema": EVENTS_SCHEMA,
-                             "dropped": self.dropped}, sort_keys=True)
-        lines = [header]
-        lines.extend(json.dumps(record, sort_keys=True, default=str)
-                     for record in self.to_records())
-        return "\n".join(lines)
-
-    def render(self, limit: int | None = None) -> str:
-        """The retained log as human-readable lines (newest last)."""
-        events = list(self.events)
-        if limit is not None and len(events) > limit:
-            events = events[-limit:]
-        if not events:
-            return "(no events recorded)"
-        lines = [event.describe() for event in events]
-        if self.dropped:
-            lines.insert(0, f"({self.dropped} event(s) dropped)")
-        return "\n".join(lines)
-
-
-def load_jsonl(text: str) -> EventLog:
-    """Rebuild an :class:`EventLog` from :meth:`EventLog.export_jsonl`.
-
-    The first record must carry a known ``schema`` tag; an unknown tag
-    raises :class:`ValueError` so consumers cannot silently misread a
-    future format.
-    """
-    log = EventLog()
-    first = True
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        record = json.loads(line)
-        if first:
-            first = False
-            schema = record.get("schema")
-            if schema is not None:
-                if schema != EVENTS_SCHEMA:
-                    raise ValueError(
-                        f"unsupported event-log schema {schema!r} "
-                        f"(expected {EVENTS_SCHEMA!r})")
-                log.dropped = int(record.get("dropped", 0))
-                continue
-        event = Event(record["seq"], record["kind"], record["session"],
-                      record["span"], record["cause"],
-                      dict(record["attrs"]))
-        log.events.append(event)
-        log._counts[event.kind] += 1
-        log._next_seq = max(log._next_seq, event.seq + 1)
-    return log

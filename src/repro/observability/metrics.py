@@ -1,24 +1,24 @@
-"""A dependency-free metrics registry: counters, gauges, histograms.
+"""A dependency-free counter registry.
 
-The registry is the numeric half of the instrumentation layer (the
-:mod:`repro.observability.tracing` spans are the structural half).  It
-deliberately mirrors the shape of the Prometheus client — named metrics
-with labelled children — without any exporter machinery: everything the
+The registry answers *how many* (the :mod:`repro.observability.tracing`
+spans answer *how long*, the flight recorder *what happened*).  It
+mirrors the shape of the Prometheus client — named counters with
+labelled children — without any exporter machinery: everything the
 pipeline records is answered from process memory via :meth:`snapshot`
 and rendered with :meth:`render_table`.
 
-Metrics are keyed by ``(name, sorted label items)``; asking for the same
-metric twice returns the same object, so hot paths can hoist the lookup
-out of their loops and pay one attribute increment per observation.
+Counters are keyed by ``(name, sorted label items)``; asking for the
+same counter twice returns the same object, so hot paths can hoist the
+lookup out of their loops and pay one attribute increment per
+observation.  Time is not recorded here: spans are the only timer, and
+:meth:`render_table` prints their per-name summaries
+(:meth:`~repro.observability.tracing.Tracer.timings`) beside the
+counters.
 """
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_left
-from contextlib import contextmanager
-from time import perf_counter
-from typing import Iterator
+from typing import Mapping
 
 #: A label key: the metric name plus its sorted ``(key, value)`` pairs.
 MetricKey = tuple[str, tuple[tuple[str, str], ...]]
@@ -50,153 +50,18 @@ class Counter:
         self.value += amount
 
 
-class Gauge:
-    """A point-in-time value (last write wins; :meth:`high_water` keeps
-    the maximum instead)."""
-
-    __slots__ = ("key", "value")
-
-    def __init__(self, key: MetricKey) -> None:
-        self.key = key
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def high_water(self, value: float) -> None:
-        if value > self.value:
-            self.value = value
-
-
-def _bucket_bounds() -> tuple[float, ...]:
-    """Geometric bucket upper bounds, 1e-7 .. 1e7, eight per decade.
-
-    Computed by repeated multiplication (no ``log``/``pow`` per
-    observation), so the boundary table is identical on every platform.
-    Fourteen decades cover both sub-microsecond timer observations and
-    integer-valued histograms (witness lengths, search depths).
-    """
-    ratio = 10.0 ** 0.125          # eight sub-buckets per decade
-    bounds: list[float] = []
-    value = 1e-7
-    for _ in range(14 * 8):
-        bounds.append(value)
-        value *= ratio
-    return tuple(bounds)
-
-
-#: Shared bucket boundary table (HDR-style: fixed, value-independent).
-BUCKET_BOUNDS = _bucket_bounds()
-
-
-class Histogram:
-    """A fixed-bucket HDR-style streaming histogram.
-
-    Observations land in geometric buckets (:data:`BUCKET_BOUNDS`, eight
-    per decade, ~±15% relative resolution) plus underflow/overflow; the
-    exact count/total/min/max are kept alongside, so means are exact and
-    :meth:`percentile` answers p50/p95/p99 by exact rank selection over
-    the bucket counts (the returned value is the bucket's upper bound,
-    clamped to the observed min/max).
-
-    Doubles as a wall-clock timer via :meth:`time` (observations in
-    seconds), which is how the pipeline prices per-plan analyses and
-    per-binding compliance checks.
-    """
-
-    __slots__ = ("key", "count", "total", "min", "max", "buckets")
-
-    def __init__(self, key: MetricKey) -> None:
-        self.key = key
-        self.count = 0
-        self.total = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-        # buckets[i] counts values <= BUCKET_BOUNDS[i]; the final slot
-        # is the overflow bucket (values above the largest bound).
-        self.buckets = [0] * (len(BUCKET_BOUNDS) + 1)
-
-    def observe(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-        self.buckets[bisect_left(BUCKET_BOUNDS, value)] += 1
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def percentile(self, quantile: float) -> float:
-        """The value at ``quantile`` (0 < q <= 1) by rank selection.
-
-        The rank is exact (``ceil(q * count)``); the value is resolved
-        to the containing bucket's upper bound and clamped into
-        ``[min, max]``, so the answer is within one bucket (~15%) of the
-        true order statistic and deterministic across platforms.
-        """
-        if not self.count:
-            return 0.0
-        rank = max(1, math.ceil(quantile * self.count))
-        cumulative = 0
-        for index, bucket_count in enumerate(self.buckets):
-            cumulative += bucket_count
-            if cumulative >= rank:
-                if index >= len(BUCKET_BOUNDS):
-                    return self.max
-                return min(max(BUCKET_BOUNDS[index], self.min), self.max)
-        return self.max  # pragma: no cover - unreachable
-
-    @contextmanager
-    def time(self) -> Iterator[None]:
-        start = perf_counter()
-        try:
-            yield
-        finally:
-            self.observe(perf_counter() - start)
-
-    def bucket_counts(self) -> list[tuple[float, int]]:
-        """Non-empty ``(upper_bound, cumulative_count)`` pairs, the
-        overflow bucket spelled as ``inf`` — the OpenMetrics shape."""
-        pairs: list[tuple[float, int]] = []
-        cumulative = 0
-        for index, bucket_count in enumerate(self.buckets):
-            cumulative += bucket_count
-            if bucket_count:
-                bound = (math.inf if index >= len(BUCKET_BOUNDS)
-                         else BUCKET_BOUNDS[index])
-                pairs.append((bound, cumulative))
-        return pairs
-
-    def summary(self) -> dict[str, float]:
-        empty = not self.count
-        return {"count": self.count, "total": self.total,
-                "min": self.min if self.count else 0.0,
-                "max": self.max if self.count else 0.0,
-                "mean": self.mean,
-                "p50": 0.0 if empty else self.percentile(0.50),
-                "p95": 0.0 if empty else self.percentile(0.95),
-                "p99": 0.0 if empty else self.percentile(0.99)}
-
-
 class MetricsRegistry:
-    """A process- or session-scoped family of named metrics.
+    """A process- or session-scoped family of named counters.
 
     ``registry.counter("compliance.explored_states")`` returns the same
     :class:`Counter` on every call; label keywords create independent
     children (``counter("planner.plans", verdict="valid")``).
     """
 
-    __slots__ = ("_counters", "_gauges", "_histograms")
+    __slots__ = ("_counters",)
 
     def __init__(self) -> None:
         self._counters: dict[MetricKey, Counter] = {}
-        self._gauges: dict[MetricKey, Gauge] = {}
-        self._histograms: dict[MetricKey, Histogram] = {}
-
-    # -- metric factories ---------------------------------------------------
 
     def counter(self, name: str, **labels: object) -> Counter:
         key = _key(name, labels)
@@ -205,52 +70,28 @@ class MetricsRegistry:
             metric = self._counters[key] = Counter(key)
         return metric
 
-    def gauge(self, name: str, **labels: object) -> Gauge:
-        key = _key(name, labels)
-        metric = self._gauges.get(key)
-        if metric is None:
-            metric = self._gauges[key] = Gauge(key)
-        return metric
-
-    def histogram(self, name: str, **labels: object) -> Histogram:
-        key = _key(name, labels)
-        metric = self._histograms.get(key)
-        if metric is None:
-            metric = self._histograms[key] = Histogram(key)
-        return metric
-
-    # -- export -------------------------------------------------------------
-
     def snapshot(self) -> dict:
-        """Everything recorded so far, as plain JSON-serialisable dicts
-        keyed by the flat ``name{labels}`` spelling."""
-        return {
-            "counters": {render_key(key): metric.value
-                         for key, metric in sorted(self._counters.items())},
-            "gauges": {render_key(key): metric.value
-                       for key, metric in sorted(self._gauges.items())},
-            "histograms": {render_key(key): metric.summary()
-                           for key, metric in
-                           sorted(self._histograms.items())},
-        }
+        """Every counter recorded so far, as a plain JSON-serialisable
+        dict keyed by the flat ``name{labels}`` spelling."""
+        return {"counters": {render_key(key): metric.value
+                             for key, metric in
+                             sorted(self._counters.items())}}
 
     def reset(self) -> None:
-        """Drop every metric (a fresh registry without re-registering)."""
+        """Drop every counter (a fresh registry without re-registering)."""
         self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()
 
-    def render_table(self) -> str:
-        """A fixed-width human-readable table of the snapshot (what the
-        CLI prints under ``--stats``)."""
+    def render_table(self, timings: Mapping[str, dict] | None = None
+                     ) -> str:
+        """A fixed-width human-readable table (what the CLI prints under
+        ``--stats``): every counter, then one row per span name of
+        *timings* with its count and its total, mean and p50/p95/p99
+        durations in seconds."""
         rows: list[tuple[str, str]] = []
         for key, counter in sorted(self._counters.items()):
             rows.append((render_key(key), str(counter.value)))
-        for key, gauge in sorted(self._gauges.items()):
-            rows.append((render_key(key), f"{gauge.value:g}"))
-        for key, histogram in sorted(self._histograms.items()):
-            summary = histogram.summary()
-            rows.append((render_key(key),
+        for name, summary in sorted((timings or {}).items()):
+            rows.append((name,
                          f"n={summary['count']} total={summary['total']:.6f}"
                          f" mean={summary['mean']:.6f}"
                          f" p50={summary['p50']:.6f}"
@@ -262,68 +103,5 @@ class MetricsRegistry:
         return "\n".join(f"{name:<{width}}  {value}"
                          for name, value in rows)
 
-    def render_openmetrics(self) -> str:
-        """The registry in OpenMetrics-style text exposition.
-
-        Counters become ``name_total``, gauges stay bare, histograms
-        expose cumulative ``name_bucket{le="..."}`` series (only
-        boundaries that received observations, plus ``+Inf``) with
-        ``name_sum``/``name_count``.  Metric names are sanitised to the
-        ``[a-zA-Z0-9_]`` charset; no exporter dependency is involved.
-        """
-
-        def metric_name(key: MetricKey) -> str:
-            name, _ = key
-            return "repro_" + "".join(
-                ch if ch.isalnum() or ch == "_" else "_" for ch in name)
-
-        def label_text(key: MetricKey, extra: str = "") -> str:
-            _, labels = key
-            parts = [f'{k}="{v}"' for k, v in labels]
-            if extra:
-                parts.append(extra)
-            return "{" + ",".join(parts) + "}" if parts else ""
-
-        def fmt(value: float) -> str:
-            if value == math.inf:
-                return "+Inf"
-            return repr(value) if isinstance(value, float) else str(value)
-
-        lines: list[str] = []
-        typed: set[str] = set()
-
-        def declare(key: MetricKey, kind: str) -> str:
-            name = metric_name(key)
-            if name not in typed:
-                typed.add(name)
-                lines.append(f"# TYPE {name} {kind}")
-            return name
-
-        for key, counter in sorted(self._counters.items()):
-            name = declare(key, "counter")
-            lines.append(f"{name}_total{label_text(key)} "
-                         f"{fmt(counter.value)}")
-        for key, gauge in sorted(self._gauges.items()):
-            name = declare(key, "gauge")
-            lines.append(f"{name}{label_text(key)} {fmt(gauge.value)}")
-        for key, histogram in sorted(self._histograms.items()):
-            name = declare(key, "histogram")
-            pairs = histogram.bucket_counts()
-            for bound, cumulative in pairs:
-                le = 'le="' + fmt(bound) + '"'
-                lines.append(f"{name}_bucket{label_text(key, le)} "
-                             f"{cumulative}")
-            if not pairs or pairs[-1][0] != math.inf:
-                le = 'le="+Inf"'
-                lines.append(f"{name}_bucket{label_text(key, le)} "
-                             f"{histogram.count}")
-            lines.append(f"{name}_sum{label_text(key)} "
-                         f"{fmt(histogram.total)}")
-            lines.append(f"{name}_count{label_text(key)} "
-                         f"{histogram.count}")
-        lines.append("# EOF")
-        return "\n".join(lines)
-
     def __len__(self) -> int:
-        return (len(self._counters) + len(self._gauges)
-                + len(self._histograms))
+        return len(self._counters)

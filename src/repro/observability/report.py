@@ -15,10 +15,11 @@ into a single :class:`Report` with
 
 The JSON rendering (``repro-report.v1``) is deterministic by default for
 a seeded run: it carries span and event *counts*, simulated-clock ticks,
-and chains — never wall seconds.  Wall-clock timings (layer seconds and
-histogram summaries) appear only when the report is built with
-``wall=True`` (the CLI's ``--wall``), which is also the only
-non-reproducible part of the text rendering.
+and chains — never wall seconds.  Wall-clock timings (layer seconds, and
+under ``metrics.histograms`` one exact duration summary per span name,
+:meth:`~repro.observability.tracing.Tracer.timings`) appear only when
+the report is built with ``wall=True`` (the CLI's ``--wall``), which is
+also the only non-reproducible part of the text rendering.
 """
 
 from __future__ import annotations
@@ -82,7 +83,6 @@ class Report:
     layers: dict[str, LayerStats]
     chains: list[list[dict]]
     counters: dict[str, int]
-    gauges: dict[str, float]
     histograms: dict[str, dict]
     event_counters: dict[str, int]
     events_recorded: int
@@ -99,7 +99,8 @@ class Report:
             "layers": {layer: stats.to_dict(self.wall)
                        for layer, stats in self.layers.items()},
             "chains": self.chains,
-            "metrics": {"counters": self.counters, "gauges": self.gauges},
+            # repro-report.v1 keeps its gauges map; nothing sets one.
+            "metrics": {"counters": self.counters, "gauges": {}},
             "events": {"recorded": self.events_recorded,
                        "dropped": self.events_dropped,
                        "counters": self.event_counters},
@@ -210,16 +211,14 @@ def build_report(tel, *, module: str = "<module>",
                  if event.span is not None else "other")
         layers[layer].events += 1
 
-    snapshot = tel.metrics.snapshot()
     log = tel.events
     return Report(
         module=module,
         wall=wall,
         layers=layers,
         chains=causal_chains(log),
-        counters=snapshot["counters"],
-        gauges=snapshot["gauges"],
-        histograms=snapshot["histograms"] if wall else {},
+        counters=tel.metrics.snapshot()["counters"],
+        histograms=tel.tracer.timings() if wall else {},
         event_counters=log.counters(),
         events_recorded=len(log),
         events_dropped=log.dropped,

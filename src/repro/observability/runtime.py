@@ -1,4 +1,4 @@
-"""The process-wide telemetry switch, default registry, and tracer.
+"""The process-wide telemetry switch.
 
 Instrumented hot paths are gated on one cheap call::
 
@@ -12,12 +12,13 @@ instrumented *region* — never per inner-loop iteration, and it allocates
 no spans at all (asserted by the fast-path tests via
 ``Span.constructed``).
 
-Telemetry is enabled by :func:`enable`, by the ``REPRO_TELEMETRY``
-environment variable (any value except ``0``/``false``/empty), or
-scoped with the :func:`telemetry_session` context manager, which swaps
-in a fresh registry/tracer and restores the previous state on exit —
-the CLI's ``--stats``/``trace`` and the benchmark harness use the
-latter so runs never see each other's numbers.
+Telemetry is switched on in two ways: the ``REPRO_TELEMETRY``
+environment variable (any value except ``0``/``false``/``off``/``no``/
+empty) activates one scope for the whole process, and the
+:func:`telemetry_session` context manager swaps in a fresh scope and
+restores the previous state on exit — the CLI's ``--stats``/``trace``/
+``report`` and the benchmark harness use the latter so runs never see
+each other's numbers.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ class Telemetry:
     def emit(self, kind: str, /, *, cause: int | None = None,
              **attrs: object) -> Event:
         """Append a flight-recorder event correlated to the innermost
-        open span on this thread (the session id comes from the event
-        log's enclosing :meth:`EventLog.session` context)."""
+        open nested span (the session id comes from the event log's
+        enclosing :meth:`EventLog.session` context)."""
         current = self.tracer.current()
         return self.events.emit(
             kind, span=current.span_id if current is not None else None,
@@ -60,61 +61,20 @@ class Telemetry:
         self.events.reset()
 
 
-#: The process-default scope (used when enabling without an explicit one).
-_DEFAULT = Telemetry()
-
-#: The active scope, or None while telemetry is disabled.  Module-level so
-#: ``active()`` is a single global load.
-_ACTIVE: Telemetry | None = None
-
-
 def _env_enabled() -> bool:
     return os.environ.get("REPRO_TELEMETRY", "").lower() not in (
         "", "0", "false", "off", "no")
 
 
-if _env_enabled():
-    _ACTIVE = _DEFAULT
+#: The active scope, or None while telemetry is disabled.  Module-level so
+#: ``active()`` is a single global load.
+_ACTIVE: Telemetry | None = Telemetry() if _env_enabled() else None
 
 
 def active() -> Telemetry | None:
     """The active telemetry scope, or ``None`` when disabled — the only
     check instrumented code performs on its fast path."""
     return _ACTIVE
-
-
-def enabled() -> bool:
-    """Is telemetry currently on?"""
-    return _ACTIVE is not None
-
-
-def enable(scope: Telemetry | None = None) -> Telemetry:
-    """Switch telemetry on (idempotent); returns the active scope."""
-    global _ACTIVE
-    _ACTIVE = scope if scope is not None else (_ACTIVE or _DEFAULT)
-    return _ACTIVE
-
-
-def disable() -> None:
-    """Switch telemetry off (recorded data stays readable via
-    :func:`default_scope`)."""
-    global _ACTIVE
-    _ACTIVE = None
-
-
-def default_scope() -> Telemetry:
-    """The process-default scope (whether or not it is active)."""
-    return _DEFAULT
-
-
-def get_registry() -> MetricsRegistry:
-    """The active registry (default scope's when disabled)."""
-    return (_ACTIVE or _DEFAULT).metrics
-
-
-def get_tracer() -> Tracer:
-    """The active tracer (default scope's when disabled)."""
-    return (_ACTIVE or _DEFAULT).tracer
 
 
 @contextmanager
@@ -135,20 +95,15 @@ def telemetry_session(scope: Telemetry | None = None
         _ACTIVE = previous
 
 
-def get_event_log() -> EventLog:
-    """The active flight recorder (default scope's when disabled)."""
-    return (_ACTIVE or _DEFAULT).events
-
-
-def metrics_snapshot(include_caches: bool = True,
-                     include_events: bool = True) -> dict:
-    """The active scope's metrics snapshot, optionally merged with the
-    tracked ``lru_cache`` statistics (hits/misses/currsize per cache)
-    and the flight recorder's per-kind event counters."""
-    snapshot = get_registry().snapshot()
-    if include_caches:
-        from repro.observability.cache_stats import cache_stats
-        snapshot["caches"] = cache_stats()
-    if include_events:
-        snapshot["events"] = get_event_log().counters()
+def metrics_snapshot() -> dict:
+    """What the active scope recorded (an empty scope's record when
+    telemetry is off): its counters, its span timings under
+    ``histograms`` (see :meth:`Tracer.timings`), the flight recorder's
+    per-kind event counts, and the statistics of every memo table."""
+    from repro.observability.cache_stats import cache_stats
+    tel = _ACTIVE if _ACTIVE is not None else Telemetry()
+    snapshot = tel.metrics.snapshot()
+    snapshot["histograms"] = tel.tracer.timings()
+    snapshot["caches"] = cache_stats()
+    snapshot["events"] = tel.events.counters()
     return snapshot

@@ -1,4 +1,4 @@
-"""Nested tracing spans with JSONL export and a human-readable tree.
+"""Nested tracing spans: the pipeline's only timer.
 
 A :class:`Span` records one named, timed region of the pipeline —
 ``compliance.search_product``, ``planner.find_valid_plans``, one network
@@ -8,24 +8,28 @@ strictly nested case) or via :meth:`Tracer.start_span` /
 :meth:`Tracer.end_span` for regions whose lifetimes interleave (the
 simulator's concurrent sessions).
 
+No other module reads a clock: where the pipeline wants to know how
+long something took, it opens a span, and :meth:`Tracer.timings`
+summarises the durations per span name, exactly (the ``--stats`` and
+``trace`` timing rows, ``report --wall``'s ``metrics.histograms``).
+
 Span construction is counted in ``Span.constructed`` — a process-global
 class attribute the no-op fast-path tests use to assert that a disabled
 pipeline allocates *zero* spans.
 
-Point events carry a per-tracer monotone ``seq`` so the *global* event
+Point events carry a per-tracer monotone ``seq``, so the global event
 order across interleaved spans (two simulator sessions taking turns)
-survives the JSONL round trip: :func:`merged_events` re-sorts by it.
-Exports start with a ``{"schema": "repro-trace.v1"}`` header line and
-:func:`load_jsonl` rejects unknown schema versions.
+survives in the export.  Exports (``repro trace --out``) start with a
+``{"schema": "repro-trace.v1"}`` header line.
 """
 
 from __future__ import annotations
 
 import json
-import threading
+import math
 from itertools import count
 from time import perf_counter
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from contextlib import contextmanager
 
@@ -43,8 +47,8 @@ class Span:
     constructed = 0
 
     def __init__(self, span_id: int, parent_id: int | None, name: str,
-                 attrs: dict | None = None, start: float = 0.0,
-                 seq_source: Callable[[], int] | None = None) -> None:
+                 attrs: dict, start: float,
+                 seq_source: Callable[[], int]) -> None:
         Span.constructed += 1
         self.span_id = span_id
         self.parent_id = parent_id
@@ -67,12 +71,10 @@ class Span:
 
     def add_event(self, name: str, **attrs: object) -> None:
         """Record a point event inside the span (communications, framing
-        opens/closes, monitor aborts…).  Tracer-created spans stamp the
-        event with a tracer-wide monotone ``seq`` so interleaved spans'
-        events keep their global order through export/load."""
-        event = {"name": name}
-        if self._seq_source is not None:
-            event["seq"] = self._seq_source()
+        opens/closes, monitor aborts…), stamped with a tracer-wide
+        monotone ``seq`` so interleaved spans' events keep their global
+        order in the export."""
+        event = {"name": name, "seq": self._seq_source()}
         if attrs:
             event.update(attrs)
         self.events.append(event)
@@ -88,50 +90,59 @@ class Span:
         return f"Span({self.name!r}, id={self.span_id})"
 
 
+def summarize(values: Iterable[float]) -> dict[str, float]:
+    """Count, total, min, max and mean of *values*, and their p50, p95
+    and p99 by nearest-rank selection (the ``ceil(q * count)``-th
+    smallest value), all exact; zeros when there are none."""
+    ordered = sorted(values)
+    size = len(ordered)
+    if not size:
+        return {"count": 0, "total": 0.0, "min": 0.0, "max": 0.0,
+                "mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0}
+    total = sum(ordered)
+
+    def rank(quantile: float) -> float:
+        return ordered[max(1, math.ceil(quantile * size)) - 1]
+
+    return {"count": size, "total": total, "min": ordered[0],
+            "max": ordered[-1], "mean": total / size,
+            "p50": rank(0.50), "p95": rank(0.95), "p99": rank(0.99)}
+
+
 class Tracer:
     """A factory and store of spans.
 
-    The *current parent* is tracked per thread, so spans opened by
-    concurrent threads become independent roots instead of corrupting
-    each other's nesting.
+    Strictly nested spans push onto one stack, whose top is the parent
+    of the next span opened without an explicit one.  The pipeline
+    starts no threads, so one stack serves the whole tracer.
     """
 
     def __init__(self) -> None:
         self.spans: list[Span] = []
-        self._local = threading.local()
-        self._lock = threading.Lock()
+        self._stack: list[Span] = []
         self._next_id = 1
         self._event_seq = count(1)
 
     # -- span lifecycle -----------------------------------------------------
 
-    def _stack(self) -> list[Span]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
-
     def current(self) -> Span | None:
-        """The innermost open span on this thread, if any."""
-        stack = self._stack()
-        return stack[-1] if stack else None
+        """The innermost open nested span, if any."""
+        return self._stack[-1] if self._stack else None
 
     def start_span(self, name: str, parent: Span | None = None,
                    **attrs: object) -> Span:
         """Open a span explicitly (caller must :meth:`end_span` it).
 
-        With ``parent=None`` the span nests under this thread's current
-        span; pass an explicit parent for interleaved lifetimes.
+        With ``parent=None`` the span nests under the current span; pass
+        an explicit parent for interleaved lifetimes.
         """
         if parent is None:
             parent = self.current()
-        with self._lock:
-            span_id = self._next_id
-            self._next_id += 1
+        span_id = self._next_id
+        self._next_id += 1
         span = Span(span_id,
                     parent.span_id if parent is not None else None,
-                    name, attrs, start=perf_counter(),
-                    seq_source=self._event_seq.__next__)
+                    name, attrs, perf_counter(), self._event_seq.__next__)
         if parent is not None:
             parent.children.append(span)
         self.spans.append(span)
@@ -146,7 +157,7 @@ class Tracer:
     def span(self, name: str, **attrs: object) -> Iterator[Span]:
         """Open a strictly nested span for the duration of the block."""
         opened = self.start_span(name, **attrs)
-        stack = self._stack()
+        stack = self._stack
         stack.append(opened)
         try:
             yield opened
@@ -164,16 +175,21 @@ class Tracer:
         """All spans with the given name, in creation order."""
         return [span for span in self.spans if span.name == name]
 
+    def timings(self) -> dict[str, dict[str, float]]:
+        """:func:`summarize` over the durations of the closed spans of
+        each name, sorted by name."""
+        durations: dict[str, list[float]] = {}
+        for span in self.spans:
+            if span.end is not None:
+                durations.setdefault(span.name, []).append(span.duration)
+        return {name: summarize(values)
+                for name, values in sorted(durations.items())}
+
     def reset(self) -> None:
         """Drop every recorded span (open ones are abandoned)."""
         self.spans.clear()
-        self._local = threading.local()
+        self._stack = []
         self._event_seq = count(1)
-
-    def merged_events(self) -> list[tuple[Span, dict]]:
-        """Every point event across all spans, in global emission order
-        (by ``seq``; events without one sort first, in span order)."""
-        return merged_events(self.spans)
 
     def __len__(self) -> int:
         return len(self.spans)
@@ -214,64 +230,3 @@ class Tracer:
         for root in self.roots():
             walk(root, 0)
         return "\n".join(lines) if lines else "(no spans recorded)"
-
-
-def merged_events(spans: list[Span]) -> list[tuple[Span, dict]]:
-    """Flatten ``(span, event)`` pairs across spans into global emission
-    order.  Events carry a tracer-assigned monotone ``seq``; legacy
-    events without one keep their per-span position and sort first."""
-    pairs: list[tuple[int, int, Span, dict]] = []
-    for span_index, span in enumerate(spans):
-        for event in span.events:
-            pairs.append((event.get("seq", 0), span_index, span, event))
-    pairs.sort(key=lambda item: (item[0], item[1]))
-    return [(span, event) for _, _, span, event in pairs]
-
-
-def iter_spans(roots: list[Span]) -> Iterator[Span]:
-    """Depth-first traversal of a span forest (for loaded trees, whose
-    flat creation-order list is not otherwise available)."""
-    for root in roots:
-        yield root
-        yield from iter_spans(root.children)
-
-
-def load_jsonl(text: str) -> list[Span]:
-    """Rebuild a span forest from :meth:`Tracer.export_jsonl` output.
-
-    Returns the root spans with parent/child links restored; durations,
-    attributes and event ``seq`` stamps round-trip exactly (timestamps
-    stay as exported).  The leading schema header is validated: an
-    unknown version raises :class:`ValueError`; a headerless stream is
-    accepted as the legacy (pre-versioning) format.
-    """
-    by_id: dict[int, Span] = {}
-    roots: list[Span] = []
-    first = True
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        record = json.loads(line)
-        if first:
-            first = False
-            schema = record.get("schema")
-            if schema is not None:
-                if schema != TRACE_SCHEMA:
-                    raise ValueError(
-                        f"unsupported trace schema {schema!r} "
-                        f"(expected {TRACE_SCHEMA!r})")
-                continue
-        span = Span(record["span_id"], record["parent_id"],
-                    record["name"], record["attrs"],
-                    start=record["start"])
-        span.end = span.start + record["duration"]
-        span.events = list(record.get("events", ()))
-        by_id[span.span_id] = span
-        parent = (by_id.get(record["parent_id"])
-                  if record["parent_id"] is not None else None)
-        if parent is not None:
-            parent.children.append(span)
-        else:
-            roots.append(span)
-    return roots

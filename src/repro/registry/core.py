@@ -42,7 +42,6 @@ Telemetry: ``registry.adds``/``registry.queries`` counters, per-query
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from repro.canon.fingerprint import CanonicalForm, Signature, canonicalize
@@ -226,7 +225,6 @@ class ContractRegistry:
         if tel is None:
             return self._run_query(kind, term)
         with tel.tracer.span("registry.query", kind=kind) as span:
-            started = time.perf_counter()
             result = self._run_query(kind, term)
             metrics = tel.metrics
             metrics.counter("registry.queries", kind=kind).inc()
@@ -235,8 +233,6 @@ class ContractRegistry:
             metrics.counter("registry.product_checks").inc(
                 result.product_checks)
             metrics.counter("registry.dedup_hits").inc(result.dedup_hits)
-            metrics.histogram("registry.query.seconds").observe(
-                time.perf_counter() - started)
             span.set(matches=len(result.matches),
                      candidates=result.candidates,
                      product_checks=result.product_checks)

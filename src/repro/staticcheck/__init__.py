@@ -23,18 +23,16 @@ plan explanation      a minimal unsatisfiable core of (request,
 over a parsed module — the engine behind ``repro analyze`` and the
 SUS04x lint rules.
 
-The analyses memoise certificates in module-level LRU tables tracked by
-the cache-stats layer (``staticcheck.validity``, ``staticcheck.compliance``,
-``staticcheck.plans``); :func:`clear_staticcheck_caches` drops them and
-rebaselines their adapters, and is registered with
-:func:`repro.contracts.contract.clear_contract_caches` so a contract
-cache reset can never leave stale derived certificates behind.
+The analyses memoise certificates in the memo tables
+``staticcheck.validity``, ``staticcheck.compliance`` and
+``staticcheck.plans`` (see :mod:`repro.observability.cache_stats`), so
+:func:`repro.contracts.contract.clear_contract_caches` drops them with
+every other table and a cache reset can never leave stale derived
+certificates behind.
 """
 
 from __future__ import annotations
 
-from repro.observability.cache_stats import reset_cache_stats
-from repro.contracts.contract import register_cache_clearer
 from repro.staticcheck.labels import (LabelAnalysis, analyse_labels,
                                       may_diverge, syntactic_alphabet)
 from repro.staticcheck.validity import (ValidityCertificate,
@@ -49,25 +47,6 @@ from repro.staticcheck.engine import (ClientPlanReport, ModuleAnalysis,
                                       analyze_module)
 from repro.staticcheck.witness import (StuckWitness, ValidityWitness,
                                        witness_from_history)
-
-#: The cache-stats names owned by the staticcheck memo tables.
-_CACHE_NAMES = ("staticcheck.validity", "staticcheck.compliance",
-                "staticcheck.plans")
-
-
-def clear_staticcheck_caches() -> None:
-    """Drop the staticcheck memo tables (validity, compliance and plan
-    certificates) and rebaseline their cache-stats adapters."""
-    from repro.staticcheck import compliance as _compliance
-    from repro.staticcheck import plans as _plans
-    from repro.staticcheck import validity as _validity
-    _validity._certify.cache_clear()
-    _compliance._certify.cache_clear()
-    _plans._explain.cache_clear()
-    reset_cache_stats(*_CACHE_NAMES)
-
-
-register_cache_clearer(clear_staticcheck_caches)
 
 __all__ = [
     "BindingRefusal",
@@ -86,7 +65,6 @@ __all__ = [
     "analyze_module",
     "certify_compliance",
     "certify_validity",
-    "clear_staticcheck_caches",
     "explain_no_valid_plan",
     "may_diverge",
     "syntactic_alphabet",

@@ -24,7 +24,6 @@ concrete contract transition systems.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from repro.core.ready_sets import ready_sets, unmatched_pairs
 from repro.core.syntax import HistoryExpression
@@ -32,11 +31,10 @@ from repro.contracts.contract import Contract
 from repro.contracts.lts import DEFAULT_STATE_LIMIT
 from repro.contracts.product import explore_product
 from repro.observability import runtime as _telemetry
-from repro.observability.cache_stats import track_cache
+from repro.observability.cache_stats import memo_table
 from repro.staticcheck.witness import StuckWitness
 
-#: Entries kept in the certification memo table (see
-#: :func:`repro.staticcheck.clear_staticcheck_caches`).
+#: Entries kept in the certification memo table.
 COMPLIANCE_CACHE_SIZE = 1024
 
 
@@ -82,12 +80,11 @@ def certify_compliance(client: HistoryExpression | Contract,
         tel.metrics.counter("staticcheck.explored_states").inc(
             certificate.pairs)
         if certificate.witness is not None:
-            tel.metrics.histogram("staticcheck.witness_length").observe(
-                len(certificate.witness.trace) - 1)
+            span.set(witness_length=len(certificate.witness.trace) - 1)
         return certificate
 
 
-@lru_cache(maxsize=COMPLIANCE_CACHE_SIZE)
+@memo_table("staticcheck.compliance", COMPLIANCE_CACHE_SIZE)
 def _certify(client_term: HistoryExpression, server_term: HistoryExpression,
              max_states: int) -> ComplianceCertificate:
     search = explore_product(Contract(client_term, already_projected=True),
@@ -102,5 +99,3 @@ def _certify(client_term: HistoryExpression, server_term: HistoryExpression,
                            unmatched=unmatched_pairs(h1, h2))
     return ComplianceCertificate(False, witness, search.explored)
 
-
-track_cache("staticcheck.compliance", _certify)

@@ -24,13 +24,12 @@ requests no candidate service can take.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from repro.core.plans import Plan
 from repro.core.syntax import HistoryExpression
 from repro.network.repository import Repository
 from repro.observability import runtime as _telemetry
-from repro.observability.cache_stats import track_cache
+from repro.observability.cache_stats import memo_table
 from repro.analysis.planner import (PlannerResult, find_valid_plans,
                                     plan_security)
 from repro.analysis.requests import extract_requests
@@ -39,8 +38,7 @@ from repro.staticcheck.compliance import (ComplianceCertificate,
 from repro.staticcheck.witness import (StuckWitness, ValidityWitness,
                                        witness_from_history)
 
-#: Entries kept in the explanation memo table (see
-#: :func:`repro.staticcheck.clear_staticcheck_caches`).
+#: Entries kept in the explanation memo table.
 PLAN_CACHE_SIZE = 256
 
 
@@ -189,7 +187,7 @@ def _explain_pass(client: HistoryExpression, repository: Repository,
                     location, plans)
 
 
-@lru_cache(maxsize=PLAN_CACHE_SIZE)
+@memo_table("staticcheck.plans", PLAN_CACHE_SIZE)
 def _explain(client: HistoryExpression, items: tuple, candidate_key,
              location: str, plans: tuple[Plan, ...]) -> PlanExplanation:
     repository = Repository(dict(items), validate=False)
@@ -291,8 +289,6 @@ def _explain(client: HistoryExpression, items: tuple, candidate_key,
     return PlanExplanation(location, tuple(constraints), security_witness,
                            len(plans))
 
-
-track_cache("staticcheck.plans", _explain)
 
 
 def _refusals_under(client: HistoryExpression, plan: Plan,

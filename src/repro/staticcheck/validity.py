@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 
 from repro.core.actions import is_history_label
 from repro.core.errors import StateSpaceLimitError
@@ -32,13 +31,12 @@ from repro.core.semantics import step
 from repro.core.syntax import HistoryExpression, policies_of
 from repro.contracts.lts import DEFAULT_STATE_LIMIT
 from repro.observability import runtime as _telemetry
-from repro.observability.cache_stats import track_cache
+from repro.observability.cache_stats import memo_table
 from repro.analysis.security import (MonitorState, advance_monitor,
                                      fresh_monitor_state)
 from repro.staticcheck.witness import ValidityWitness, automaton_states
 
-#: Entries kept in the certification memo table (see
-#: :func:`repro.staticcheck.clear_staticcheck_caches`).
+#: Entries kept in the certification memo table.
 VALIDITY_CACHE_SIZE = 1024
 
 
@@ -81,12 +79,11 @@ def certify_validity(term: HistoryExpression, *,
         tel.metrics.counter("staticcheck.explored_states").inc(
             certificate.explored)
         if certificate.witness is not None:
-            tel.metrics.histogram("staticcheck.witness_length").observe(
-                len(certificate.witness.labels))
+            span.set(witness_length=len(certificate.witness.labels))
         return certificate
 
 
-@lru_cache(maxsize=VALIDITY_CACHE_SIZE)
+@memo_table("staticcheck.validity", VALIDITY_CACHE_SIZE)
 def _certify(term: HistoryExpression,
              max_states: int) -> ValidityCertificate:
     policies = policies_of(term)
@@ -123,5 +120,3 @@ def _certify(term: HistoryExpression,
                 frontier.append((next_state, new_path))
     return ValidityCertificate(True, None, explored)
 
-
-track_cache("staticcheck.validity", _certify)

@@ -17,11 +17,11 @@ from repro.analysis.planner import analyze_plan, plan_security
 from repro.analysis.security import check_security
 from repro.analysis.session_product import assemble
 from repro.cli import main
-from repro.contracts.contract import (clear_contract_caches,
-                                      contract_cache_stats)
+from repro.contracts.contract import clear_contract_caches
 from repro.core.errors import StateSpaceLimitError
 from repro.core.plans import Plan
 from repro.network.repository import Repository
+from repro.observability.cache_stats import cache_stats
 from repro.paper import figure2
 
 EXAMPLES = pathlib.Path(__file__).resolve().parents[2] / "examples"
@@ -32,7 +32,7 @@ SECURE = Plan.of({"1": figure2.LOC_BROKER, "3": "ls3"})
 
 
 def stats():
-    return contract_cache_stats()[NAME]
+    return cache_stats()[NAME]
 
 
 @pytest.fixture(autouse=True)

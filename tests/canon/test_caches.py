@@ -7,16 +7,16 @@ stale entry after a label-table flush would silently corrupt every
 downstream verdict.
 """
 
-from repro.canon import (canon_cache_stats, canonically_equal,
-                         clear_canon_caches, fingerprint_of, minimize,
+from repro.canon import (canonically_equal, fingerprint_of, minimize,
                          subcontract_preorder)
 from repro.canon.fingerprint import _canonical
 from repro.canon.minimize import _quotient
 from repro.canon.preorder import _preorder
 from repro.compiled.tables import LABELS
-from repro.contracts.contract import (clear_contract_caches,
-                                      contract_cache_stats)
+from repro.contracts.contract import Contract, clear_contract_caches
 from repro.core.syntax import EPSILON, external, internal, receive, send
+from repro.lang.parser import parse
+from repro.observability.cache_stats import cache_stats
 
 CANON_CACHES = ("canon.quotient", "canon.fingerprint", "canon.preorder")
 
@@ -26,7 +26,7 @@ class TestMemoisation:
         clear_contract_caches()
         term = internal(("a", receive("b")))
         assert minimize(term) is minimize(term)
-        stats = canon_cache_stats()["canon.quotient"]
+        stats = cache_stats()["canon.quotient"]
         assert stats["hits"] >= 1 and stats["misses"] == 1
 
     def test_preorder_is_memoised(self):
@@ -35,13 +35,13 @@ class TestMemoisation:
                                                  ("b", EPSILON))
         subcontract_preorder(smaller, larger)
         subcontract_preorder(smaller, larger)
-        stats = canon_cache_stats()["canon.preorder"]
+        stats = cache_stats()["canon.preorder"]
         assert stats["hits"] >= 1 and stats["misses"] == 1
 
 
 class TestClearCascade:
     def test_canon_stats_surface_in_contract_cache_stats(self):
-        stats = contract_cache_stats()
+        stats = cache_stats()
         for name in CANON_CACHES:
             assert name in stats, name
 
@@ -62,11 +62,31 @@ class TestClearCascade:
         term = internal(("a", send("b")))
         minimize(term)
         fingerprint_of(term)
-        clear_canon_caches()
-        stats = canon_cache_stats()
+        clear_contract_caches(*CANON_CACHES)
+        stats = cache_stats()
         for name in CANON_CACHES:
             assert stats[name]["misses"] == 0, name
         assert _quotient.cache_info().currsize == 0
+        # Naming the canon tables leaves the tables they derive from warm.
+        assert stats["contracts.lts"]["currsize"] >= 1
+        assert stats["compiled.contract"]["currsize"] >= 1
+
+    def test_clearing_the_compiled_table_clears_the_quotients(self):
+        """Clearing only the compiled table resets the label intern
+        table, so the quotients holding its old ids must go with it:
+        kept, ``?a . ?b``'s quotient reads as ``?b . ?a``'s under the new
+        ids, and the preorder wrongly lets one replace the other."""
+        clear_contract_caches()
+        minimize(parse("?a . ?b"))
+        lts = Contract(parse("?a . ?b")).lts
+        clear_contract_caches("compiled.contract")
+        assert all(cache_stats()[name]["currsize"] == 0
+                   for name in CANON_CACHES)
+        minimize(parse("?b . ?a"))
+        assert not subcontract_preorder(parse("?b . ?a"),
+                                        parse("?a . ?b")).holds
+        # The contract layer was not asked for, and stays warm.
+        assert Contract(parse("?a . ?b")).lts is lts
 
     def test_recompilation_regression_under_relabeled_table(self):
         """The regression the cascade exists to prevent: quotients and

@@ -10,16 +10,15 @@ stale.
 import pytest
 
 from repro.compiled import (Bitset, CompiledContract, Interner,
-                            clear_compiled_caches, compile_contract,
-                            compiled_cache_stats)
+                            compile_contract)
 from repro.compiled.intern import (DENSE_BITSET_LIMIT, SparseBits,
                                    make_visited)
 from repro.compiled.tables import LABELS, _compile
 from repro.core.actions import Receive, Send
 from repro.core.errors import StateSpaceLimitError
 from repro.core.syntax import external, internal, receive, send, seq
-from repro.contracts.contract import (Contract, clear_contract_caches,
-                                      contract_cache_stats)
+from repro.contracts.contract import Contract, clear_contract_caches
+from repro.observability.cache_stats import cache_stats
 
 
 class TestInterner:
@@ -128,7 +127,7 @@ class TestMemoisationAndClearCascade:
         term = internal(("a", send("b")))
         first = compile_contract(term)
         assert compile_contract(term) is first
-        stats = compiled_cache_stats()["compiled.contract"]
+        stats = cache_stats()["compiled.contract"]
         assert stats["hits"] >= 1 and stats["misses"] == 1
 
     def test_clear_contract_caches_forces_recompilation(self):
@@ -145,13 +144,16 @@ class TestMemoisationAndClearCascade:
     def test_clear_compiled_caches_alone_suffices(self):
         term = send("a")
         compile_contract(term)
-        clear_compiled_caches()
+        clear_contract_caches("compiled.contract")
         assert _compile.cache_info().currsize == 0
-        stats = compiled_cache_stats()
+        assert len(LABELS.labels) == 0
+        stats = cache_stats()
         assert stats["compiled.contract"]["misses"] == 0
+        # The contract layer it compiles from stays warm.
+        assert stats["contracts.lts"]["currsize"] >= 1
 
     def test_compiled_stats_surface_in_contract_cache_stats(self):
-        stats = contract_cache_stats()
+        stats = cache_stats()
         assert "compiled.contract" in stats
 
     def test_label_table_stats_reflect_compiled_state(self):

@@ -1,6 +1,7 @@
 """Tests for the command-line driver."""
 
 import argparse
+import json
 import os
 import pathlib
 import subprocess
@@ -183,14 +184,9 @@ class TestTraceCommand:
         out_file = tmp_path / "trace.jsonl"
         assert main(["trace", network_file, "--out",
                      str(out_file)]) == 0
-        from repro.observability.tracing import load_jsonl
-        roots = load_jsonl(out_file.read_text())
-        names = set()
-        stack = list(roots)
-        while stack:
-            span = stack.pop()
-            names.add(span.name)
-            stack.extend(span.children)
+        header, *lines = out_file.read_text().splitlines()
+        assert json.loads(header) == {"schema": "repro-trace.v1"}
+        names = {json.loads(line)["name"] for line in lines}
         # Plan synthesis and at least one simulated session are covered.
         assert "planner.find_valid_plans" in names
         assert "compliance.search_product" in names
@@ -217,6 +213,17 @@ class TestStatsFlag:
         assert "-- metrics --" in out
         assert "compliance.checks" in out
         assert "cache contracts.lts:" in out
+
+    def test_stats_times_each_span_name_once(self, network_file, capsys):
+        assert main(["--stats", "verify", network_file]) == 0
+        table = capsys.readouterr().out.split("-- metrics --")[1]
+        timed = [line.split()[0] for line in table.splitlines()
+                 if " n=" in line]
+        # One timing row per span name, none for a retired histogram.
+        assert len(timed) == len(set(timed))
+        assert {"planner.find_valid_plans", "compliance.check",
+                "compliance.search_product"} <= set(timed)
+        assert not [name for name in timed if name.endswith("seconds")]
 
     def test_stats_reports_simulation_counters(self, network_file,
                                                capsys):

@@ -1,11 +1,6 @@
-"""Tests for the flight recorder: bounded log, causal chains, export."""
+"""Tests for the flight recorder: bounded log, causal chains, counters."""
 
-import json
-
-import pytest
-
-from repro.observability.events import (EVENTS_SCHEMA, Event, EventLog,
-                                        load_jsonl)
+from repro.observability.events import Event, EventLog
 
 
 class TestEmit:
@@ -37,7 +32,7 @@ class TestEmit:
         assert inside.session == "trial-3"
         assert nested.session == "trial-3/retry"
         assert after_nested.session == "trial-3"
-        assert log.current_session() is None
+        assert log.emit("v").session is None
 
     def test_explicit_session_and_span_win(self):
         log = EventLog()
@@ -108,43 +103,3 @@ class TestRebaseline:
         log.reset()
         assert len(log) == 0 and log.counters() == {}
         assert log.emit("b").seq == 1
-
-
-class TestExport:
-    def test_jsonl_has_schema_header_and_round_trips(self):
-        log = EventLog()
-        with log.session("trial-1"):
-            fault = log.emit("fault.injected", location="ls1", tick=4)
-            log.emit("session.abort", cause=fault.seq, span=7)
-        export = log.export_jsonl()
-        lines = export.splitlines()
-        assert json.loads(lines[0]) == {"schema": EVENTS_SCHEMA,
-                                        "dropped": 0}
-        loaded = load_jsonl(export)
-        assert loaded.to_records() == log.to_records()
-        assert loaded.counters() == log.counters()
-        # Appends after load continue the sequence.
-        assert loaded.emit("x").seq == 3
-
-    def test_unknown_schema_is_rejected(self):
-        log = EventLog()
-        log.emit("a")
-        tampered = log.export_jsonl().replace(EVENTS_SCHEMA,
-                                              "repro-events.v99")
-        with pytest.raises(ValueError,
-                           match="unsupported event-log schema"):
-            load_jsonl(tampered)
-
-    def test_render_is_human_readable(self):
-        log = EventLog(maxlen=2)
-        with log.session("trial-0"):
-            fault = log.emit("fault.injected", location="ls1")
-            log.emit("session.abort", cause=fault.seq)
-            log.emit("run.verdict", status="completed")
-        text = log.render()
-        assert "(1 event(s) dropped)" in text
-        assert "#2 session.abort session=trial-0 cause=#1" in text
-        assert "status=completed" in text
-
-    def test_empty_render_placeholder(self):
-        assert "no events" in EventLog().render()

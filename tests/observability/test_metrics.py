@@ -1,8 +1,10 @@
-"""Tests for the metrics registry (counters, gauges, histograms)."""
+"""Tests for the counter registry and the exact span-timing summaries
+the metrics table prints beside the counters."""
 
 import pytest
 
 from repro.observability.metrics import MetricsRegistry, render_key
+from repro.observability.tracing import Tracer, summarize
 
 
 class TestCounter:
@@ -34,25 +36,13 @@ class TestCounter:
         assert a is b
 
 
-class TestGauge:
-    def test_set_and_high_water(self):
-        registry = MetricsRegistry()
-        gauge = registry.gauge("depth")
-        gauge.set(7)
-        assert gauge.value == 7
-        gauge.high_water(3)
-        assert gauge.value == 7
-        gauge.high_water(11)
-        assert gauge.value == 11
-
-
 class TestHistogram:
+    """:func:`summarize`: the exact summary behind each timing row of
+    ``--stats``/``trace`` and each entry of ``report --wall``'s
+    ``metrics.histograms``."""
+
     def test_summary_statistics(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("latency")
-        for value in (1.0, 3.0, 2.0):
-            histogram.observe(value)
-        summary = histogram.summary()
+        summary = summarize([1.0, 3.0, 2.0])
         assert summary["count"] == 3
         assert summary["total"] == 6.0
         assert summary["min"] == 1.0
@@ -60,54 +50,35 @@ class TestHistogram:
         assert summary["mean"] == pytest.approx(2.0)
 
     def test_empty_summary_has_finite_bounds(self):
-        registry = MetricsRegistry()
-        summary = registry.histogram("empty").summary()
-        assert summary == {"count": 0, "total": 0.0, "min": 0.0,
-                           "max": 0.0, "mean": 0.0,
-                           "p50": 0.0, "p95": 0.0, "p99": 0.0}
+        assert summarize([]) == {"count": 0, "total": 0.0, "min": 0.0,
+                                 "max": 0.0, "mean": 0.0,
+                                 "p50": 0.0, "p95": 0.0, "p99": 0.0}
 
     def test_percentiles_by_rank_selection(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("latency")
-        for value in range(1, 101):  # 1..100
-            histogram.observe(float(value))
-        # Bucket resolution is ~15%; rank selection must land within it.
-        assert histogram.percentile(0.50) == pytest.approx(50.0, rel=0.16)
-        assert histogram.percentile(0.95) == pytest.approx(95.0, rel=0.16)
-        assert histogram.percentile(0.99) == pytest.approx(99.0, rel=0.16)
-        assert histogram.percentile(1.0) == 100.0
+        # The ceil(q * count)-th smallest value, exactly.
+        summary = summarize([float(value) for value in range(100, 0, -1)])
+        assert summary["p50"] == 50.0
+        assert summary["p95"] == 95.0
+        assert summary["p99"] == 99.0
+        assert summarize([4.0, 1.0, 3.0])["p50"] == 3.0
 
     def test_percentiles_clamped_to_observed_range(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("one")
-        histogram.observe(0.25)
-        summary = histogram.summary()
+        summary = summarize([0.25])
         assert summary["p50"] == summary["p95"] == summary["p99"] == 0.25
 
     def test_percentiles_are_monotone(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("mono")
-        for value in (0.001, 0.01, 0.1, 1.0, 10.0, 10.0, 0.01):
-            histogram.observe(value)
-        assert (histogram.percentile(0.5) <= histogram.percentile(0.95)
-                <= histogram.percentile(0.99) <= histogram.max)
-
-    def test_bucket_counts_are_cumulative(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("buckets")
-        for value in (0.5, 0.5, 2.0):
-            histogram.observe(value)
-        pairs = histogram.bucket_counts()
-        assert [count for _, count in pairs] == [2, 3]
-        assert pairs[0][0] >= 0.5 and pairs[1][0] >= 2.0
+        summary = summarize([0.001, 0.01, 0.1, 1.0, 10.0, 10.0, 0.01])
+        assert (summary["min"] <= summary["p50"] <= summary["p95"]
+                <= summary["p99"] <= summary["max"])
 
     def test_time_context_manager_observes_once(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("timer")
-        with histogram.time():
+        # A span is the timer: one block, one observation of its name.
+        tracer = Tracer()
+        with tracer.span("timer"):
             pass
-        assert histogram.count == 1
-        assert histogram.total >= 0.0
+        summary = tracer.timings()["timer"]
+        assert summary["count"] == 1
+        assert summary["total"] == tracer.find("timer")[0].duration >= 0.0
 
 
 class TestSnapshot:
@@ -115,18 +86,16 @@ class TestSnapshot:
         import json
         registry = MetricsRegistry()
         registry.counter("checks", engine="onthefly").inc(2)
-        registry.gauge("frontier").set(10)
-        registry.histogram("seconds").observe(0.5)
+        registry.counter("frontier").inc(10)
         snapshot = registry.snapshot()
-        assert snapshot["counters"] == {"checks{engine=onthefly}": 2}
-        assert snapshot["gauges"] == {"frontier": 10}
-        assert snapshot["histograms"]["seconds"]["count"] == 1
+        assert snapshot == {"counters": {"checks{engine=onthefly}": 2,
+                                         "frontier": 10}}
         json.dumps(snapshot)  # must serialise
 
     def test_reset_drops_everything(self):
         registry = MetricsRegistry()
         registry.counter("a").inc()
-        registry.histogram("b").observe(1)
+        registry.counter("b", kind="x").inc()
         registry.reset()
         assert len(registry) == 0
         assert registry.snapshot()["counters"] == {}
@@ -139,43 +108,14 @@ class TestSnapshot:
     def test_render_table_mentions_every_metric(self):
         registry = MetricsRegistry()
         registry.counter("alpha").inc()
-        registry.gauge("beta").set(2)
-        registry.histogram("gamma").observe(3)
-        table = registry.render_table()
-        assert "alpha" in table and "beta" in table and "gamma" in table
+        registry.counter("beta", kind="x").inc(2)
+        table = registry.render_table({"gamma": summarize([3.0])})
+        lines = table.splitlines()
+        assert lines[0].split() == ["alpha", "1"]
+        assert lines[1].split() == ["beta{kind=x}", "2"]
+        assert lines[2].split() == [
+            "gamma", "n=1", "total=3.000000", "mean=3.000000",
+            "p50=3.000000", "p95=3.000000", "p99=3.000000"]
 
     def test_render_table_empty(self):
         assert "no metrics" in MetricsRegistry().render_table()
-
-
-class TestOpenMetrics:
-    def test_exposition_has_types_series_and_eof(self):
-        registry = MetricsRegistry()
-        registry.counter("compliance.checks", engine="compiled").inc(2)
-        registry.gauge("search.frontier").set(10)
-        registry.histogram("planner.seconds").observe(0.5)
-        text = registry.render_openmetrics()
-        lines = text.splitlines()
-        assert "# TYPE repro_compliance_checks counter" in lines
-        assert 'repro_compliance_checks_total{engine="compiled"} 2' in lines
-        assert "# TYPE repro_search_frontier gauge" in lines
-        assert "# TYPE repro_planner_seconds histogram" in lines
-        assert any(line.startswith("repro_planner_seconds_bucket{le=")
-                   for line in lines)
-        assert "repro_planner_seconds_count 1" in lines
-        assert lines[-1] == "# EOF"
-
-    def test_bucket_series_end_in_inf_and_are_cumulative(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("h")
-        for value in (0.001, 0.002, 1e9):  # last lands in overflow
-            histogram.observe(value)
-        lines = registry.render_openmetrics().splitlines()
-        buckets = [line for line in lines
-                   if line.startswith("repro_h_bucket")]
-        assert buckets[-1].startswith('repro_h_bucket{le="+Inf"}')
-        counts = [int(line.rsplit(" ", 1)[1]) for line in buckets]
-        assert counts == sorted(counts) and counts[-1] == 3
-
-    def test_empty_registry_is_just_eof(self):
-        assert MetricsRegistry().render_openmetrics() == "# EOF"

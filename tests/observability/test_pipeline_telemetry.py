@@ -26,8 +26,9 @@ def fresh_session():
 
 
 class TestPlanner:
-    def test_metrics_filled_with_and_without_telemetry(self, repo, c1):
-        runtime.disable()
+    def test_metrics_filled_with_and_without_telemetry(self, repo, c1,
+                                                       monkeypatch):
+        monkeypatch.setattr(runtime, "_ACTIVE", None)
         cold = find_valid_plans(c1, repo, location=figure2.LOC_CLIENT_1)
         with runtime.telemetry_session():
             warm = find_valid_plans(c1, repo,
@@ -98,7 +99,8 @@ class TestSimulator:
         assert counters["simulator.sessions_closed"] == tally["close"]
         assert counters["simulator.communications"] == tally["synch"]
 
-    def test_disabled_run_matches_enabled_run(self, repo, c1):
+    def test_disabled_run_matches_enabled_run(self, repo, c1,
+                                              monkeypatch):
         def run(seed):
             plans = find_valid_plans(c1, repo,
                                      location=figure2.LOC_CLIENT_1)
@@ -111,7 +113,7 @@ class TestSimulator:
 
         with runtime.telemetry_session():
             enabled_rules = run(7)
-        runtime.disable()
+        monkeypatch.setattr(runtime, "_ACTIVE", None)
         assert run(7) == enabled_rules
 
 

@@ -79,10 +79,14 @@ class TestBuildReport:
 
     def test_wall_opt_in_adds_timings(self):
         tel = self._scope_with_story()
-        tel.metrics.histogram("compile.seconds").observe(0.25)
         data = json.loads(build_report(tel, wall=True).to_json())
         assert "self_seconds" in data["layers"]["compile"]
-        assert "compile.seconds" in data["metrics"]["histograms"]
+        # One exact duration summary per span name.
+        assert data["metrics"]["histograms"] == json.loads(
+            json.dumps(tel.tracer.timings()))
+        assert set(data["metrics"]["histograms"]) == {"compile.contract",
+                                                      "supervisor.run"}
+        assert data["metrics"]["gauges"] == {}
 
     def test_self_time_partitions_nested_spans(self):
         tel = Telemetry()

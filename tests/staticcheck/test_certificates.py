@@ -13,8 +13,7 @@ from repro.core.syntax import event, framing, request, seq, send
 from repro.contracts.contract import Contract, clear_contract_caches
 from repro.contracts.product import build_product
 from repro.policies.library import forbid
-from repro.staticcheck import (certify_compliance, certify_validity,
-                               clear_staticcheck_caches)
+from repro.staticcheck import certify_compliance, certify_validity
 from repro.staticcheck.compliance import _certify as _compliance_memo
 from repro.staticcheck.validity import _certify as _validity_memo
 
@@ -103,7 +102,7 @@ class TestCompliance:
 
 class TestCacheHygiene:
     def test_certificates_are_memoised(self):
-        clear_staticcheck_caches()
+        clear_contract_caches("staticcheck.validity")
         term = request("42", None, send("a"))
         certify_validity(term)
         before = _validity_memo.cache_info().hits
