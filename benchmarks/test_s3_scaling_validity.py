@@ -18,7 +18,6 @@ product of term size and policy-runner state, independent of run count.
 import pytest
 
 from repro.analysis.security import check_security
-from repro.analysis.session_product import assemble
 from repro.bpa.modelcheck import check_validity_bpa
 from repro.core.actions import Event, FrameClose, FrameOpen
 from repro.core.plans import Plan
@@ -70,8 +69,8 @@ def test_s3_incremental_monitor(benchmark, length):
 def test_s3_static_session_checker(benchmark, policies):
     client = policy_heavy_client(policies, events_per_policy=4)
     repo = Repository({"srv": long_trace_service(6)})
-    lts = assemble(client, Plan.single("r", "srv"), repo)
-    report = benchmark(check_security, lts)
+    report = benchmark(check_security, client, Plan.single("r", "srv"),
+                       repo)
     assert report.secure
     print(f"\nS3 static p={policies}: {report.states_checked} product "
           f"states checked")

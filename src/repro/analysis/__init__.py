@@ -11,7 +11,7 @@ from repro.analysis.planner import (PlanAnalysis, PlannerResult,
 from repro.analysis.requests import (RequestInfo, extract_requests,
                                      request_tree)
 from repro.analysis.security import SecurityReport, check_security
-from repro.analysis.session_product import assemble, deadlocked_trees
+from repro.analysis.session_product import assemble
 from repro.analysis.verification import (ClientVerdict, NetworkVerdict,
                                          verify_client, verify_network)
 
@@ -20,6 +20,6 @@ __all__ = [
     "static_concurrent_demand",
     "PlanAnalysis", "PlannerResult", "analyze_plan", "enumerate_plans",
     "find_valid_plans", "RequestInfo", "extract_requests", "request_tree",
-    "SecurityReport", "check_security", "assemble", "deadlocked_trees",
+    "SecurityReport", "check_security", "assemble",
     "ClientVerdict", "NetworkVerdict", "verify_client", "verify_network",
 ]

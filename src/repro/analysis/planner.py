@@ -13,8 +13,8 @@ and analyses each candidate with the paper's two static checks:
   by ``ℓ2``, check ``H1 ⊢ H2`` with ``π(r) = ℓ2`` via the product
   automaton of Definition 5 (Theorem 1);
 * **security** — model-check the assembled behaviour ``⟨Ĥ, π⟩`` for
-  validity (Section 3.1), via the session product and the abstract
-  monitor of :mod:`repro.analysis.security`.
+  validity (Section 3.1): the monitored search of
+  :mod:`repro.analysis.security` walks its session trees on the fly.
 
 A plan passing both is *valid*; the exhaustive network explorer
 (:mod:`repro.network.explorer`) is the independent oracle the test suite
@@ -24,6 +24,7 @@ compares against.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -36,7 +37,6 @@ from repro.core.plans import Plan
 from repro.core.syntax import HistoryExpression
 from repro.analysis.requests import RequestInfo, extract_requests
 from repro.analysis.security import SecurityReport, check_security
-from repro.analysis.session_product import (assemble, deadlocked_trees)
 from repro.network.repository import Repository
 
 #: Entries kept in the plan-security cache (see :func:`plan_security`).
@@ -185,9 +185,9 @@ def plan_security(client: HistoryExpression, plan: Plan,
                   repository: Repository,
                   location: str = "client") -> SecurityReport:
     """The security check of the assembled behaviour ``⟨Ĥ, π⟩``:
-    :func:`check_security` over :func:`assemble`, memoised.
+    :func:`check_security`, memoised.
 
-    Assembly reads the repository only at the locations *plan* binds
+    The check reads the repository only at the locations *plan* binds
     (an ``open`` fires against ``repository.get(plan.lookup(r))``), so
     the key is the client, its location, the plan and the services at
     those locations, ``None`` for a location the repository lacks.  The
@@ -207,8 +207,37 @@ def _plan_security(client: HistoryExpression, location: str, plan: Plan,
                    bound: tuple) -> SecurityReport:
     services = Repository({target: service for target, service in bound
                            if service is not None}, validate=False)
-    return check_security(assemble(client, plan, services, location))
+    return check_security(client, plan, services, location)
 
+
+def request_occurrences(client: HistoryExpression, plan: Plan,
+                        repository: Repository
+                        ) -> Iterator[tuple[RequestInfo, str | None,
+                                            HistoryExpression | None]]:
+    """The request occurrences *plan* reaches from *client*, breadth
+    first, each as ``(info, target, service)``: the location *plan*
+    binds the id to and the service there (``None`` for either that is
+    missing).
+
+    Each distinct ``(id, body)`` comes once: a service may reuse an id
+    that the client (or another service) opens with a different body,
+    and the plan's one binding for that id must serve every such
+    session.  The walk goes on through the requests of each service it
+    yields.
+    """
+    seen: set[tuple[str, HistoryExpression]] = set()
+    queue = deque(extract_requests(client))
+    while queue:
+        info = queue.popleft()
+        occurrence = (info.request, info.body)
+        if occurrence in seen:
+            continue
+        seen.add(occurrence)
+        target = plan.lookup(info.request)
+        service = None if target is None else repository.get(target)
+        yield info, target, service
+        if service is not None:
+            queue.extend(extract_requests(service))
 
 
 def analyze_plan(client: HistoryExpression, plan: Plan,
@@ -226,29 +255,18 @@ def analyze_plan(client: HistoryExpression, plan: Plan,
     the valid/invalid partition) is unchanged; only the per-plan cost
     drops from O(security product) to O(first failing pair).  The
     security check goes through :func:`plan_security`, so a plan checked
-    before in the process is not assembled again.
+    before in the process is not checked again.
     """
     compliance: list[ComplianceCheck] = []
     unserved: list[str] = []
-    # Keyed on the occurrence, not the id: a service may reuse an id that
-    # the client (or another service) opens with a different body, and
-    # the plan's one binding for that id must serve every such session.
-    seen: set[tuple[str, HistoryExpression]] = set()
     decide = cache.check if cache is not None else check_compliance
 
-    queue = list(extract_requests(client))
-    while queue:
-        info = queue.pop(0)
-        occurrence = (info.request, info.body)
-        if occurrence in seen:
-            continue
-        seen.add(occurrence)
-        target = plan.lookup(info.request)
-        if target is None or target not in repository:
+    for info, target, service in request_occurrences(client, plan,
+                                                     repository):
+        if service is None:
             if info.request not in unserved:
                 unserved.append(info.request)
             continue
-        service = repository[target]
         check = ComplianceCheck(info.request, target,
                                 decide(info.body, service))
         compliance.append(check)
@@ -256,7 +274,6 @@ def analyze_plan(client: HistoryExpression, plan: Plan,
             return PlanAnalysis(plan, tuple(compliance),
                                 SecurityReport.skipped_report(),
                                 tuple(unserved))
-        queue.extend(extract_requests(service))
 
     security = plan_security(client, plan, repository, location)
     return PlanAnalysis(plan, tuple(compliance), security,
@@ -399,15 +416,3 @@ def _single_body_requests(client: HistoryExpression,
             bodies.setdefault(info.request, set()).add(info.body)
     return frozenset(request for request, found in bodies.items()
                      if len(found) == 1)
-
-
-def unfailing_in_product(client: HistoryExpression, plan: Plan,
-                         repository: Repository,
-                         location: str = "client") -> bool:
-    """Whole-system progress check on the assembled LTS: no reachable
-    deadlocked, non-terminated session tree.
-
-    For complete plans this agrees with per-request compliance; the test
-    suite cross-validates the two."""
-    lts = assemble(client, plan, repository, location)
-    return not deadlocked_trees(lts)

@@ -1,33 +1,48 @@
-"""Static security checking: model checking validity over assembled LTSs.
+"""Static security checking: one monitored search decides validity.
 
-Section 3.1 reduces validity of the assembled service ``Ĥ`` to a model
-checking problem.  Here the assembled behaviour is the session-product
-LTS (:mod:`repro.analysis.session_product`); the checker walks its
-reachable states paired with an *abstract monitor state*:
+Section 3.1 reduces validity of the assembled service ``⟨Ĥ, π⟩`` to a
+model checking problem.  :func:`monitored_search` is the one search
+that answers it, for a plan's behaviour here and for a single history
+expression in :mod:`repro.staticcheck.validity`.  It walks pairs of a
+state and an *abstract monitor state*:
 
 * one :class:`~repro.policies.usage_automata.PolicyRunner` per policy
-  occurring anywhere in the system — every runner consumes every event,
-  whether or not its policy is active, because validity is history
-  dependent (a framing opened later judges the whole past);
+  of the terms whose moves it explores — every runner consumes every
+  event, whether or not its policy is active, because validity is
+  history dependent (a framing opened later judges the whole past);
 * the multiset of currently active policies (activation counts).
 
 Runner states are finite (the witness table ranges over the finitely many
 event payloads of the system) and activation counts are bounded (framings
-are syntactically nested and recursion is tail), so the product is a
-finite safety check: a state is *bad* when some active policy's runner is
-in violation.  This mirrors the paper's reduction of both security and
-compliance to safety properties.
+are syntactically nested and recursion is tail), so the product is
+finite.  Validity is checked on every prefix of a history, so security
+is a safety property (Theorem 2 and Corollary 1 argue the same for
+compliance): the breadth-first search stops at the first move that
+violates an active policy, and its parent pointers give a shortest
+counterexample.
+
+:func:`check_security` runs the search over the session trees of
+:mod:`repro.analysis.session_product`, generated on the fly by
+:func:`~repro.network.semantics.tree_moves`: no LTS of the plan is
+assembled to check it.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from typing import Callable, Hashable, Iterable
 
-from repro.core.actions import Event, FrameClose, FrameOpen
+from repro.core.actions import Event, FrameClose, FrameOpen, HistoryLabel
 from repro.core.errors import StateSpaceLimitError
+from repro.core.plans import Plan
+from repro.core.syntax import HistoryExpression, policies_of
+from repro.network.config import Leaf
+from repro.network.repository import Repository
+from repro.network.semantics import tree_moves
 from repro.policies.usage_automata import (FrozenRunnerState, Policy,
                                            PolicyRunner)
-from repro.contracts.lts import DEFAULT_PRODUCT_LIMIT, LTS
+from repro.contracts.lts import DEFAULT_PRODUCT_LIMIT
 from repro.analysis.session_product import ProductLabel
 
 #: Abstract monitor state: per-policy frozen runner + activation count.
@@ -73,64 +88,110 @@ class SecurityReport:
         return self.secure
 
 
-def check_security(lts: LTS, policies: frozenset[Policy] | None = None,
+def check_security(client: HistoryExpression, plan: Plan,
+                   repository: Repository, location: str = "client",
                    max_states: int = DEFAULT_PRODUCT_LIMIT
                    ) -> SecurityReport:
-    """Model-check that every trace of *lts* produces a valid history.
+    """Model-check that every run of *client* at *location* under *plan*
+    produces a valid history.
 
-    *policies* defaults to every policy mentioned by the LTS labels; pass
-    the full policy set of the system if framings may reference policies
-    that no explored label mentions (they cannot, in practice: a policy
-    matters only once a ``Lφ`` occurs).
+    The moves are the internal moves of the session trees, with the
+    output-commitment steps, in the order
+    :func:`~repro.analysis.session_product.assemble` lists them;
+    one sub-tree memo serves the whole check.  The monitor tracks the
+    policies of the client and of the services at the locations *plan*
+    binds: no other term can move.  *max_states* bounds the explored
+    ⟨tree, monitor⟩ pairs.
     """
-    if policies is None:
-        policies = _policies_of(lts)
-    initial = (lts.initial, fresh_monitor_state(policies))
+    policies = set(policies_of(client))
+    for _, target in plan.items():
+        service = repository.get(target)
+        if service is not None:
+            policies.update(policies_of(service))
+    memo: dict = {}
 
-    from collections import deque
-    seen = {initial}
-    frontier = deque([(initial, ())])
-    states_checked = 0
+    def moves(tree):
+        for move in tree_moves(tree, plan, repository, True, memo):
+            if move.is_internal():
+                yield move, move.appends, move.tree
 
+    explored, path, violated = monitored_search(
+        Leaf(location, client), policies, moves, max_states,
+        "security product")
+    if path is None:
+        return SecurityReport(True, explored)
+    return SecurityReport(
+        False, explored,
+        counterexample=tuple(ProductLabel(move.kind, move.label,
+                                          move.appends) for move in path),
+        violated_policy=violated)
+
+
+def monitored_search(initial: Hashable, policies,
+                     moves: Callable[[Hashable], Iterable[tuple]],
+                     max_states: int, what: str
+                     ) -> tuple[int, list | None, Policy | None]:
+    """Breadth-first search over ⟨state, abstract monitor⟩ pairs from
+    *initial* and the fresh monitor over *policies*.
+
+    ``moves(state)`` yields ``(move, appends, successor)`` triples:
+    *appends* are the history labels the move adds.  The search stops at
+    the first move that violates an active policy.  It returns
+    ``(explored, path, policy)``: the number of pairs popped, the moves
+    of a shortest run ending in the violating move, and the violated
+    policy; ``path`` and ``policy`` are ``None`` when no run violates.
+    More than *max_states* distinct pairs raise
+    :class:`StateSpaceLimitError` naming *what*.
+    """
+    start = (initial, fresh_monitor_state(policies))
+    parents: dict = {start: None}
+    frontier = deque([start])
+    explored = 0
     while frontier:
-        (tree_state, monitor_state), path = frontier.popleft()
-        states_checked += 1
-        for label, successor in lts.moves(tree_state):
-            next_monitor, violated = advance_monitor(monitor_state,
-                                                     label.appends)
-            new_path = path + (label,)
+        pair = frontier.popleft()
+        state, monitor = pair
+        explored += 1
+        for move, appends, successor in moves(state):
+            next_monitor, violated = advance_monitor(monitor, appends)
             if violated is not None:
-                return SecurityReport(False, states_checked,
-                                      counterexample=new_path,
-                                      violated_policy=violated)
-            next_state = (successor, next_monitor)
-            if next_state not in seen:
-                if len(seen) >= max_states:
-                    raise StateSpaceLimitError(max_states,
-                                               "security product")
-                seen.add(next_state)
-                frontier.append((next_state, new_path))
-    return SecurityReport(True, states_checked)
+                return explored, _path(parents, pair, move), violated
+            next_pair = (successor, next_monitor)
+            if next_pair not in parents:
+                if len(parents) >= max_states:
+                    raise StateSpaceLimitError(max_states, what)
+                parents[next_pair] = (pair, move)
+                frontier.append(next_pair)
+    return explored, None, None
+
+
+def _path(parents: dict, pair, last) -> list:
+    """The moves from the start to *pair*, then *last*."""
+    path = [last]
+    link = parents[pair]
+    while link is not None:
+        pair, move = link
+        path.append(move)
+        link = parents[pair]
+    path.reverse()
+    return path
 
 
 def fresh_monitor_state(policies) -> MonitorState:
     """The initial abstract monitor over *policies* (sorted by rendering,
     so monitor states are canonical): every runner fresh, nothing active.
-
-    Shared with :mod:`repro.staticcheck.validity`, which runs the same
-    abstract monitor over the residuals of a single history expression
-    instead of an assembled session product.
     """
     return tuple((policy, PolicyRunner(policy).freeze(), 0)
                  for policy in sorted(policies, key=str))
 
 
 def advance_monitor(monitor_state: MonitorState,
-                    appends: tuple) -> tuple[MonitorState, Policy | None]:
+                    appends: tuple[HistoryLabel, ...]
+                    ) -> tuple[MonitorState, Policy | None]:
     """Advance the abstract monitor by the appended history labels.
 
     Returns ``(new_state, violated_policy_or_None)``; returns the input
-    unchanged (wrapped) when *appends* is empty.
+    unchanged (wrapped) when *appends* is empty.  Every framed policy
+    must be one the monitor was started with.
     """
     if not appends:
         return monitor_state, None
@@ -138,44 +199,27 @@ def advance_monitor(monitor_state: MonitorState,
     runners = {policy: PolicyRunner.from_frozen(policy, frozen)
                for policy, frozen, _ in monitor_state}
     active = {policy: count for policy, _, count in monitor_state}
-    order = [policy for policy, _, _ in monitor_state]
 
     for label in appends:
         if isinstance(label, Event):
-            for policy in order:
-                runners[policy].step(label)
-                if active[policy] > 0 and runners[policy].in_violation:
-                    return _freeze(order, runners, active), policy
+            for policy, runner in runners.items():
+                runner.step(label)
+                if active[policy] > 0 and runner.in_violation:
+                    return _freeze(runners, active), policy
         elif isinstance(label, FrameOpen):
             policy = label.policy
-            if policy not in runners:
-                # A policy unseen at initialisation (defensive): start it
-                # from scratch — with no past events its history is empty.
-                runners[policy] = PolicyRunner(policy)
-                active[policy] = 0
-                order.append(policy)
             active[policy] += 1
             if runners[policy].in_violation:
-                return _freeze(order, runners, active), policy
+                return _freeze(runners, active), policy
         elif isinstance(label, FrameClose):
             policy = label.policy
-            if policy in active and active[policy] > 0:
+            if active[policy] > 0:
                 active[policy] -= 1
         else:  # pragma: no cover - appends only hold history labels
             raise TypeError(f"unexpected history label {label!r}")
-    return _freeze(order, runners, active), None
+    return _freeze(runners, active), None
 
 
-def _freeze(order, runners, active) -> MonitorState:
-    return tuple((policy, runners[policy].freeze(), active[policy])
-                 for policy in order)
-
-
-def _policies_of(lts: LTS) -> frozenset[Policy]:
-    policies: set[Policy] = set()
-    for moves in lts.transitions.values():
-        for label, _ in moves:
-            for item in label.appends:
-                if isinstance(item, (FrameOpen, FrameClose)):
-                    policies.add(item.policy)
-    return frozenset(policies)
+def _freeze(runners, active) -> MonitorState:
+    return tuple((policy, runner.freeze(), active[policy])
+                 for policy, runner in runners.items())

@@ -13,12 +13,11 @@ the underlying action and the history labels the move appends.  This is
 exact: the component's reachable histories are precisely the label
 sequences of this LTS.
 
-The assembled LTS is what both halves of the static analysis consume:
-
-* the security checker of :mod:`repro.analysis.security` verifies that
-  every trace yields a valid history;
-* deadlocked states (non-terminated trees without moves) witness missing
-  communications — the whole-system counterpart of non-compliance.
+The security check of :mod:`repro.analysis.security` walks the same
+session trees on the fly and stops at its first violation, so it never
+builds this LTS.  :func:`assemble` stays for the one caller that needs
+the whole transition system: the worst-case pricing of
+:func:`repro.quantitative.planning.plan_cost`.
 """
 
 from __future__ import annotations
@@ -28,8 +27,7 @@ from dataclasses import dataclass
 from repro.core.actions import HistoryLabel, Label
 from repro.core.plans import Plan
 from repro.core.syntax import HistoryExpression
-from repro.network.config import (Leaf, SessionTree,
-                                  is_successfully_terminated)
+from repro.network.config import Leaf, SessionTree
 from repro.network.repository import Repository
 from repro.network.semantics import tree_moves
 from repro.contracts.lts import DEFAULT_STATE_LIMIT, LTS, build_lts
@@ -62,14 +60,12 @@ def assemble(client: HistoryExpression, plan: Plan,
     """The assembled LTS of *client* running at *location* under *plan*.
 
     Unserved requests (no plan binding / unknown location) simply produce
-    no ``open`` move, which leaves the tree deadlocked there — the
-    deadlock detection then reports the incomplete plan.
+    no ``open`` move, which leaves the tree deadlocked there.
 
     *commit_outputs* (default on) includes the demonic
-    output-commitment steps, so :func:`deadlocked_trees` sees the stuck
-    states caused by unhandleable internal choices; the commitment steps
-    append no history labels, so the security check is unaffected either
-    way.
+    output-commitment steps, which deadlock where an internal choice
+    cannot be handled; they append no history labels, so the histories
+    are the same either way.
 
     One memo serves the whole exploration, so each state shares the
     moves of the sub-trees it has in common with the states explored
@@ -86,19 +82,3 @@ def assemble(client: HistoryExpression, plan: Plan,
 
     return build_lts(Leaf(location, client), successors,
                      max_states=max_states)
-
-
-def deadlocked_trees(lts: SessionLTS) -> frozenset[SessionTree]:
-    """Reachable trees with no move that are not successfully terminated.
-
-    Each such tree is a reachable configuration in which the client (or a
-    service acting for it) waits forever: an output nobody accepts, an
-    input nobody sends, or a request the plan does not serve.
-    """
-    return frozenset(tree for tree in lts.deadlocks()
-                     if not is_successfully_terminated(tree))
-
-
-def is_unfailing(lts: SessionLTS) -> bool:
-    """True iff no reachable deadlocked (non-terminated) tree exists."""
-    return not deadlocked_trees(lts)

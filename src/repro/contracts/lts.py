@@ -1,11 +1,12 @@
 """A generic finite labelled transition system (LTS) substrate.
 
-The paper's constructions (projection, ready sets, the product automaton of
-Definition 5, validity model checking) all operate on the *finite*
-transition systems generated by well-formed history expressions.  This
-module provides an explicit-state LTS value type plus :func:`build_lts`,
-which materialises the reachable fragment of any implicit transition
-relation given as a successor function.
+The paper's constructions (projection, ready sets, the product automaton
+of Definition 5) operate on the *finite* transition systems generated by
+well-formed history expressions.  This module provides an explicit-state
+LTS value type plus :func:`build_lts`, which materialises the reachable
+fragment of any implicit transition relation given as a successor
+function.  Validity is decided without one: the monitored search of
+:mod:`repro.analysis.security` generates its moves on the fly.
 """
 
 from __future__ import annotations
@@ -112,25 +113,6 @@ class LTS(Generic[State, LabelT]):
                     frontier.append(target)
         return frozenset(seen)
 
-    def some_state_satisfies(self, predicate: Callable[[State], bool]
-                             ) -> State | None:
-        """Return a reachable state satisfying *predicate*, or ``None``.
-
-        States are visited in BFS order from the initial state, so the
-        returned witness is one at minimal transition depth.
-        """
-        seen: set[State] = {self.initial}
-        frontier = deque([self.initial])
-        while frontier:
-            state = frontier.popleft()
-            if predicate(state):
-                return state
-            for _, target in self.transitions[state]:
-                if target not in seen:
-                    seen.add(target)
-                    frontier.append(target)
-        return None
-
     def path_to(self, goal: Callable[[State], bool]
                 ) -> tuple[tuple[LabelT, State], ...] | None:
         """A shortest labelled path from the initial state to a state
@@ -163,28 +145,6 @@ class LTS(Generic[State, LabelT]):
         return None
 
     # -- transformations ----------------------------------------------------
-
-    def map_labels(self, fn: Callable[[LabelT], LabelT]) -> "LTS[State, LabelT]":
-        """A copy of the LTS with every label rewritten by *fn*."""
-        return LTS(self.initial, {
-            state: tuple((fn(label), target) for label, target in moves)
-            for state, moves in self.transitions.items()})
-
-    def filter_labels(self, keep: Callable[[LabelT], bool]
-                      ) -> "LTS[State, LabelT]":
-        """A copy keeping only transitions whose label satisfies *keep*.
-
-        Note: the reachable set may shrink; unreachable states are pruned.
-        """
-        filtered = {
-            state: tuple((label, target) for label, target in moves
-                         if keep(label))
-            for state, moves in self.transitions.items()}
-        pruned = LTS(self.initial, filtered)
-        reachable = pruned.reachable_from(pruned.initial)
-        return LTS(self.initial, {state: moves
-                                  for state, moves in filtered.items()
-                                  if state in reachable})
 
     def renumber(self) -> "LTS[int, LabelT]":
         """An isomorphic LTS over dense integer states (BFS numbering).
@@ -284,18 +244,3 @@ def bisimilar(a: LTS, b: LTS) -> bool:
             block_of = new_blocks
             changed = True
     return block_of[a.initial] == block_of[b.initial + shift]
-
-
-def trace_language(lts: LTS, max_length: int) -> frozenset[tuple]:
-    """All traces of length ≤ *max_length* (a finite approximation of the
-    trace language, used to test language-preserving transformations)."""
-    results: set[tuple] = set()
-    stack = [(lts.initial, ())]
-    while stack:
-        state, prefix = stack.pop()
-        results.add(prefix)
-        if len(prefix) >= max_length:
-            continue
-        for label, target in lts.transitions[state]:
-            stack.append((target, prefix + (label,)))
-    return frozenset(results)

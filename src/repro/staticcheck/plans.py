@@ -31,7 +31,7 @@ from repro.network.repository import Repository
 from repro.observability import runtime as _telemetry
 from repro.observability.cache_stats import memo_table
 from repro.analysis.planner import (PlannerResult, find_valid_plans,
-                                    plan_security)
+                                    plan_security, request_occurrences)
 from repro.analysis.requests import extract_requests
 from repro.staticcheck.compliance import (ComplianceCertificate,
                                           certify_compliance)
@@ -297,26 +297,15 @@ def _refusals_under(client: HistoryExpression, plan: Plan,
     """Request id → the first refusing certificate among the occurrences
     of that id *plan* reaches, or ``None`` when each complies with the
     bound service (``certify(body, service)`` decides one).  The
-    occurrences are walked as :func:`~repro.analysis.planner.analyze_plan`
-    walks them: once per distinct ``(id, body)``, through the services
-    the plan binds."""
+    occurrences are those
+    :func:`~repro.analysis.planner.request_occurrences` yields, as
+    :func:`~repro.analysis.planner.analyze_plan` walks them."""
     refusals: dict[str, ComplianceCertificate | None] = {}
-    seen: set[tuple[str, HistoryExpression]] = set()
-    queue = list(extract_requests(client))
-    while queue:
-        info = queue.pop(0)
-        occurrence = (info.request, info.body)
-        if occurrence in seen:
-            continue
-        seen.add(occurrence)
-        service = repository.get(plan.lookup(info.request))
-        if service is None:
-            continue
-        if refusals.get(info.request) is None:
+    for info, _, service in request_occurrences(client, plan, repository):
+        if service is not None and refusals.get(info.request) is None:
             certificate = certify(info.body, service)
             refusals[info.request] = (None if certificate.compliant
                                       else certificate)
-        queue.extend(extract_requests(service))
     return refusals
 
 

@@ -1,20 +1,23 @@
 """Static validity certification: proving ``|= η`` for all runs.
 
 The concrete :class:`~repro.core.validity.ValidityMonitor` checks one
-history at a time; this module certifies a whole history *expression* by
-a symbolic product construction: BFS over pairs
+history at a time; this module certifies a whole history *expression*
+by the breadth-first search of
+:func:`repro.analysis.security.monitored_search` over pairs
 
     ``⟨residual term, abstract monitor state⟩``
 
-where the abstract monitor (shared with :mod:`repro.analysis.security`)
-keeps one frozen :class:`~repro.policies.usage_automata.PolicyRunner`
-per policy of the term plus its activation count under the framings
-opened so far.  Runner states are finite and activation depth is
-bounded by the syntactic framing nesting, so the product is a finite
-safety check — exactly the paper's reduction of validity to model
-checking (Section 3.1), without ever enumerating individual runs.
+which the security check of a plan runs over session trees.  Here the
+moves are the :func:`~repro.core.semantics.step` residuals of the term,
+and the abstract monitor keeps one frozen
+:class:`~repro.policies.usage_automata.PolicyRunner` per policy of the
+term plus its activation count under the framings opened so far.
+Runner states are finite and activation depth is bounded by the
+syntactic framing nesting, so the product is a finite safety check —
+exactly the paper's reduction of validity to model checking
+(Section 3.1), without ever enumerating individual runs.
 
-On failure the BFS parent structure yields a *shortest* offending
+On failure the search's parent pointers yield a *shortest* offending
 abstract path, packaged as a :class:`~repro.staticcheck.witness.ValidityWitness`
 (labels plus the violated automaton's state sets) that replays to a
 genuine violation in the concrete semantics.
@@ -22,18 +25,15 @@ genuine violation in the concrete semantics.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from repro.core.actions import is_history_label
-from repro.core.errors import StateSpaceLimitError
 from repro.core.semantics import step
 from repro.core.syntax import HistoryExpression, policies_of
 from repro.contracts.lts import DEFAULT_STATE_LIMIT
 from repro.observability import runtime as _telemetry
 from repro.observability.cache_stats import memo_table
-from repro.analysis.security import (MonitorState, advance_monitor,
-                                     fresh_monitor_state)
+from repro.analysis.security import monitored_search
 from repro.staticcheck.witness import ValidityWitness, automaton_states
 
 #: Entries kept in the certification memo table.
@@ -90,33 +90,22 @@ def _certify(term: HistoryExpression,
     if not policies:
         return ValidityCertificate(True, None, 0)
 
-    initial = (term, fresh_monitor_state(policies))
-    seen: set[tuple[HistoryExpression, MonitorState]] = {initial}
-    frontier: deque = deque([(initial, ())])
-    explored = 0
-    while frontier:
-        (residual, monitor), path = frontier.popleft()
-        explored += 1
-        for label, successor in step(residual):
-            appends = (label,) if is_history_label(label) else ()
-            next_monitor, violated = advance_monitor(monitor, appends)
-            new_path = path + appends
-            if violated is not None:
-                # Every state kept by the BFS is violation-free, so the
-                # history is valid right up to the final label — the
-                # witness therefore replays sharply in the concrete
-                # monitor (valid prefix, last label refused).
-                witness = ValidityWitness(
-                    labels=new_path,
-                    policy=violated,
-                    states=automaton_states(new_path, violated))
-                return ValidityCertificate(False, witness, explored)
-            next_state = (successor, next_monitor)
-            if next_state not in seen:
-                if len(seen) >= max_states:
-                    raise StateSpaceLimitError(max_states,
-                                               "validity product")
-                seen.add(next_state)
-                frontier.append((next_state, new_path))
-    return ValidityCertificate(True, None, explored)
+    explored, path, violated = monitored_search(
+        term, policies, _residual_moves, max_states, "validity product")
+    if path is None:
+        return ValidityCertificate(True, None, explored)
+    # Every pair kept by the search is violation-free, so the history is
+    # valid right up to the final label — the witness therefore replays
+    # sharply in the concrete monitor (valid prefix, last label refused).
+    labels = tuple(label for label in path if is_history_label(label))
+    witness = ValidityWitness(labels=labels, policy=violated,
+                              states=automaton_states(labels, violated))
+    return ValidityCertificate(False, witness, explored)
 
+
+def _residual_moves(residual: HistoryExpression):
+    """The moves of *residual* for :func:`monitored_search`: each label
+    appends itself when it is a history label."""
+    for label, successor in step(residual):
+        yield (label, (label,) if is_history_label(label) else (),
+               successor)

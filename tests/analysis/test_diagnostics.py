@@ -4,7 +4,6 @@ from repro.analysis.diagnostics import (explain_compliance, explain_pair,
                                         explain_plan, explain_security)
 from repro.analysis.planner import analyze_plan
 from repro.analysis.security import check_security
-from repro.analysis.session_product import assemble
 from repro.core.compliance import check_compliance
 from repro.core.plans import Plan
 from repro.core.syntax import (EPSILON, external, internal, receive,
@@ -50,14 +49,12 @@ class TestExplainCompliance:
 
 class TestExplainSecurity:
     def test_secure_narrative(self):
-        lts = assemble(seq(), Plan.empty(), Repository(), "me")
-        report = check_security(lts)
+        report = check_security(seq(), Plan.empty(), Repository(), "me")
         assert "secure" in explain_security(report)
 
     def test_violation_shows_policy_and_history(self, repo, c2):
-        lts = assemble(c2, figure2.plan_pi2_bad_security(), repo,
-                       figure2.LOC_CLIENT_2)
-        report = check_security(lts)
+        report = check_security(c2, figure2.plan_pi2_bad_security(), repo,
+                                figure2.LOC_CLIENT_2)
         text = explain_security(report)
         assert "INSECURE" in text
         assert str(figure2.policy_c2()) in text

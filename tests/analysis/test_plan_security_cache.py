@@ -4,7 +4,7 @@ One entry per assembled behaviour ``⟨Ĥ, π⟩``: the key is the client,
 its location, the plan and the services at the locations the plan
 binds, so repositories that agree on those share an entry and a changed
 bound service misses.  The counting test pins the point of the cache:
-within one command, no ``⟨Ĥ, π⟩`` is assembled twice.
+within one command, no ``⟨Ĥ, π⟩`` is security-checked twice.
 """
 
 import collections
@@ -15,7 +15,6 @@ import pytest
 import repro.analysis.planner as planner
 from repro.analysis.planner import analyze_plan, plan_security
 from repro.analysis.security import check_security
-from repro.analysis.session_product import assemble
 from repro.cli import main
 from repro.contracts.contract import clear_contract_caches
 from repro.core.errors import StateSpaceLimitError
@@ -64,8 +63,8 @@ def test_a_changed_bound_service_misses_and_gets_its_own_verdict():
     swapped = repository.publish("ls3", repository["ls1"])
     report = plan_security(client, SECURE, swapped, figure2.LOC_CLIENT_1)
     assert not report.secure
-    assert report == check_security(assemble(client, SECURE, swapped,
-                                             figure2.LOC_CLIENT_1))
+    assert report == check_security(client, SECURE, swapped,
+                                    figure2.LOC_CLIENT_1)
     assert stats()["misses"] == 2 and stats()["hits"] == 0
 
 
@@ -74,8 +73,8 @@ def test_a_location_missing_from_the_repository():
     client = figure2.client_1()
     plan = Plan.of({"1": figure2.LOC_BROKER, "3": "nowhere"})
     report = plan_security(client, plan, repository, figure2.LOC_CLIENT_1)
-    assert report == check_security(assemble(client, plan, repository,
-                                             figure2.LOC_CLIENT_1))
+    assert report == check_security(client, plan, repository,
+                                    figure2.LOC_CLIENT_1)
     assert analyze_plan(client, plan, repository,
                         figure2.LOC_CLIENT_1).unserved_requests == ("3",)
 
@@ -84,9 +83,10 @@ def test_a_state_budget_error_is_raised_every_time_and_not_cached(
         monkeypatch):
     calls = []
 
-    def tiny_budget(lts):
-        calls.append(lts)
-        return check_security(lts, max_states=1)
+    def tiny_budget(client, plan, repository, location):
+        calls.append(plan)
+        return check_security(client, plan, repository, location,
+                              max_states=1)
 
     monkeypatch.setattr(planner, "check_security", tiny_budget)
     repository = figure2.repository()
@@ -116,7 +116,8 @@ def test_clear_contract_caches_empties_the_cache():
     ["analyze", str(EXAMPLES / "hotel_booking.sus")],
     ["analyze", str(EXAMPLES / "broken_booking.sus")],
 ], ids=["chaos-resilient", "analyze-hotel", "analyze-broken"])
-def test_one_command_assembles_each_plan_once(argv, monkeypatch, capsys):
+def test_one_command_security_checks_each_plan_once(argv, monkeypatch,
+                                                    capsys):
     keys = []
 
     def counting(client, plan, repository, location="client", **options):
@@ -124,9 +125,9 @@ def test_one_command_assembles_each_plan_once(argv, monkeypatch, capsys):
         keys.append((client, location, plan,
                      tuple((target, repository.get(target))
                            for target in targets)))
-        return assemble(client, plan, repository, location, **options)
+        return check_security(client, plan, repository, location, **options)
 
-    monkeypatch.setattr(planner, "assemble", counting)
+    monkeypatch.setattr(planner, "check_security", counting)
     main(argv)
     capsys.readouterr()
     assert keys

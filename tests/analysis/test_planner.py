@@ -3,13 +3,15 @@
 import pytest
 
 from repro.analysis.planner import (analyze_plan, enumerate_plans,
-                                    find_valid_plans, unfailing_in_product)
+                                    find_valid_plans)
 from repro.analysis.verification import verify_client, verify_network
 from repro.core.plans import Plan
 from repro.core.syntax import (EPSILON, external, receive, request, send,
                                seq)
 from repro.network.repository import Repository
 from repro.paper import figure2
+
+from tests.oracles.security import unfailing_in_product
 
 
 class TestEnumeration:

@@ -75,9 +75,9 @@ class TestChoiceDependentRequests:
 class TestExplainEdges:
     def test_explain_secure_report_counts_states(self):
         from repro.analysis.security import check_security
-        from repro.analysis.session_product import assemble
-        lts = assemble(event("e"), Plan.empty(), Repository(), "me")
-        text = explain_security(check_security(lts))
+        report = check_security(event("e"), Plan.empty(), Repository(),
+                                "me")
+        text = explain_security(report)
         assert "states checked" in text
 
     def test_explain_valid_and_incomplete_together(self):

@@ -1,7 +1,6 @@
 """Tests for the static security model checker."""
 
 from repro.analysis.security import check_security
-from repro.analysis.session_product import assemble
 from repro.core.plans import Plan
 from repro.core.syntax import (Framing, Var, event, external, mu, receive,
                                request, send, seq)
@@ -11,8 +10,7 @@ from repro.policies.library import at_most, forbid, never_after
 
 
 def secure(client, plan=Plan.empty(), repo=None, location="me"):
-    lts = assemble(client, plan, repo or Repository(), location)
-    return check_security(lts)
+    return check_security(client, plan, repo or Repository(), location)
 
 
 class TestBasics:

@@ -5,8 +5,7 @@ import pathlib
 import pytest
 
 from repro.analysis.planner import enumerate_plans
-from repro.analysis.session_product import (ProductLabel, assemble,
-                                            deadlocked_trees, is_unfailing)
+from repro.analysis.session_product import ProductLabel, assemble
 from repro.cli import load_module
 from repro.contracts.lts import build_lts
 from repro.core.actions import Event
@@ -17,6 +16,7 @@ from repro.network.config import Leaf
 from repro.network.repository import Repository
 from repro.paper import figure2
 
+from tests.oracles.security import deadlocked_trees, is_unfailing
 from tests.oracles.stepping import tree_moves as oracle_tree_moves
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.errors import StateSpaceLimitError
-from repro.contracts.lts import (LTS, bisimilar, build_lts, trace_language)
+from repro.contracts.lts import LTS, bisimilar, build_lts
 
 
 def chain(n):
@@ -80,11 +80,6 @@ class TestObservations:
         lts = chain(3)
         assert lts.reachable_from(2) == {2, 3}
 
-    def test_some_state_satisfies_bfs_order(self):
-        lts = chain(5)
-        assert lts.some_state_satisfies(lambda s: s >= 2) == 2
-        assert lts.some_state_satisfies(lambda s: s > 99) is None
-
     def test_path_to(self):
         lts = chain(3)
         path = lts.path_to(lambda s: s == 2)
@@ -100,16 +95,6 @@ class TestObservations:
 
 
 class TestTransformations:
-    def test_map_labels(self):
-        lts = chain(2).map_labels(lambda label: label.upper())
-        assert lts.alphabet() == {"T"}
-
-    def test_filter_labels_prunes_unreachable(self):
-        lts = build_lts(0, lambda s: ([("keep", 1), ("drop", 2)]
-                                      if s == 0 else []))
-        kept = lts.filter_labels(lambda label: label == "keep")
-        assert kept.states == {0, 1}
-
     def test_renumber_is_isomorphic(self):
         lts = build_lts("root", lambda s: ([("t", "leaf")]
                                            if s == "root" else []))
@@ -144,16 +129,3 @@ class TestBisimilarity:
                                             if s == 0 else []))
         linear = build_lts(0, lambda s: [("a", 1)] if s == 0 else [])
         assert not bisimilar(branching, linear)
-
-
-class TestTraceLanguage:
-    def test_bounded_traces(self):
-        lts = chain(2)
-        language = trace_language(lts, max_length=2)
-        assert language == {(), ("t",), ("t", "t")}
-
-    def test_cycle_traces_capped(self):
-        lts = cycle(1)
-        language = trace_language(lts, max_length=3)
-        assert ("t", "t", "t") in language
-        assert all(len(t) <= 3 for t in language)

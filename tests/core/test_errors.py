@@ -57,16 +57,15 @@ class TestFailurePaths:
 
     def test_security_checker_limit(self):
         from repro.analysis.security import check_security
-        from repro.analysis.session_product import assemble
         from repro.core.plans import Plan
         from repro.core.syntax import Framing, event, seq
         from repro.network.repository import Repository
         from repro.policies.library import forbid
         term = Framing(forbid("x"), seq(*(event(f"e{i}")
                                           for i in range(20))))
-        lts = assemble(term, Plan.empty(), Repository(), "me")
         with pytest.raises(StateSpaceLimitError):
-            check_security(lts, max_states=2)
+            check_security(term, Plan.empty(), Repository(), "me",
+                           max_states=2)
 
     def test_bpa_limit(self):
         from repro.bpa.modelcheck import check_validity_bpa

@@ -201,9 +201,12 @@ service mute = ?job
         assert main(["trace", str(path)]) == 1
 
     def test_trace_leaves_telemetry_disabled(self, network_file, capsys):
+        """``trace`` restores the scope it found: none in a default run,
+        the process-wide one under ``REPRO_TELEMETRY``."""
         from repro.observability import runtime
+        found = runtime.active()
         assert main(["trace", network_file]) == 0
-        assert runtime.active() is None
+        assert runtime.active() is found
 
 
 class TestStatsFlag:

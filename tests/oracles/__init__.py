@@ -19,6 +19,13 @@ shared compliance cache and no pruning; the partition tests require
 the same valid and invalid plans from it and from
 :func:`repro.analysis.planner.find_valid_plans`.
 
+:mod:`tests.oracles.security` is the plan security check over the
+assembled LTS, with the policies read off its labels, and the term
+validity search that carries a path per pair;
+:mod:`tests.property.test_prop_security` requires the same reports from
+them and from :func:`repro.analysis.security.monitored_search`.  It
+also keeps the whole-LTS deadlock check.
+
 :mod:`tests.oracles.stepping` is network stepping without the per-plan
 sub-tree move memo, and the tree diff the fault layer used to name a
 transition's participants; :mod:`tests.network.test_incremental_stepping`
